@@ -207,6 +207,8 @@ let observe h v =
 
 type span = No_span | A_span of real_cell
 
+let untimed = No_span
+
 let span t ~section name =
   match t with
   | Disabled -> No_span

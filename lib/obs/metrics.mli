@@ -100,6 +100,10 @@ val histogram_spec : t -> section:string -> string -> buckets:bucket_spec -> his
 val observe : histogram -> float -> unit
 
 val span : t -> section:string -> string -> span
+
+val untimed : span
+(** A span that records nothing: every span of the disabled registry. *)
+
 val time : span -> (unit -> 'a) -> 'a
 (** [time s f] runs [f ()], adding its wall-clock duration to [s]
     (exceptions included). On a no-op span this is just [f ()] — no

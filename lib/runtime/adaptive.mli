@@ -97,8 +97,13 @@ val run :
     [Every_k_rounds] period or [On_drift] threshold, [refit_window] < 2,
     invalid deadline).
 
+    The rounds run through the {!Query} state machine with a
+    re-solving planner ({!Query.replan} through [cache] on the current
+    model), no padding and the [Drop] straggler policy; the re-fit below
+    is its per-round observer.
+
     [source] (default [Oracle]) answers each round through
-    {!Engine.answer_round}: the oracle is instant and error-free with
+    {!Query.answer}: the oracle is instant and error-free with
     latency from the current model; the simulated sources draw the
     platform event stream and charge observed (deadline-clipped) round
     seconds. Questions a deadline cuts off are dropped — the next

@@ -1,8 +1,6 @@
 open Crowdmax_util
 module Clock = Crowdmax_obs.Clock
 module Metrics = Crowdmax_obs.Metrics
-module Dag = Crowdmax_graph.Answer_dag
-module Scoring = Crowdmax_graph.Scoring
 module Model = Crowdmax_latency.Model
 module Allocation = Crowdmax_core.Allocation
 module Problem = Crowdmax_core.Problem
@@ -10,19 +8,8 @@ module Tdp = Crowdmax_core.Tdp
 module Selection = Crowdmax_selection.Selection
 module Ground_truth = Crowdmax_crowd.Ground_truth
 module Platform = Crowdmax_crowd.Platform
-module Rwl = Crowdmax_crowd.Rwl
 
-type answer_source =
-  | Oracle
-  | Simulated of { platform : Platform.t; rwl : Rwl.config }
-  | Simulated_pool of {
-      platform : Platform.t;
-      pool : Crowdmax_crowd.Worker_pool.t;
-      votes : int;
-    }
-
-type deadline_policy = Wait_all | Fixed of float | Quantile of float
-type straggler_policy = Drop | Carry_forward | Reissue of int
+include Query.Types
 
 type config = {
   allocation : Allocation.t;
@@ -55,201 +42,13 @@ let plan_config ?metrics ?cache ?source ?pad_to_round_budget ?deadline
     ~latency_model:problem.Problem.latency ()
 
 let check_policies cfg =
-  (match cfg.deadline with
-  | Wait_all -> ()
-  | Fixed d ->
-      if Float.is_nan d || d <= 0.0 then
-        invalid_arg "Engine.run: Fixed deadline must be > 0"
-  | Quantile p ->
-      if Float.is_nan p || p <= 0.0 || p > 1.0 then
-        invalid_arg "Engine.run: Quantile must be in (0, 1]");
+  Query.check_deadline ~caller:"Engine.run" cfg.deadline;
   match cfg.straggler with
   | Reissue n ->
       if n < 0 then invalid_arg "Engine.run: Reissue retry cap < 0"
   | Drop | Carry_forward -> ()
 
-type round_record = {
-  round_index : int;
-  round_budget : int;
-  distinct_questions : int;
-  padded_questions : int;
-  candidates_before : int;
-  candidates_after : int;
-  round_latency : float;
-  unanswered_questions : int;
-  reissued_questions : int;
-  deadline_hit : bool;
-}
-
-type result = {
-  chosen : int;
-  correct : bool;
-  singleton : bool;
-  rounds_run : int;
-  questions_posted : int;
-  total_latency : float;
-  trace : round_record list;
-}
-
-(* The round deadline, if the policy imposes one. [Quantile p] waits
-   until the latency model's predicted completion time of the
-   ceil(p * posted)-th posted question — the modeled p-th completion
-   time — instead of the (tail-dominated) last one.
-
-   Unit convention (pinned across the whole runtime): L(q) takes q in
-   {e distinct posted questions}. The planner's budgets, the Oracle
-   path's [Model.eval latency_model posted], and the adaptive refit
-   window's [batch_size = posted] all use that unit; the [votes ×]
-   repetition a simulated source posts is a property of the answering
-   environment, absorbed into the fitted model parameters exactly like
-   worker arrival rates are. Evaluating the deadline at raw
-   [votes * posted] (as this function once did) mixed a second unit
-   into the same model: with votes = 3 the quantile deadline was priced
-   at L(3q) while every other consumer asked about L(q), so refit-tuned
-   models silently tripled the wait the policy granted. *)
-let round_deadline ~deadline ~latency_model ~posted =
-  match deadline with
-  | Wait_all -> None
-  | Fixed d -> Some d
-  | Quantile p ->
-      let k = max 1 (int_of_float (Float.ceil (p *. float_of_int posted))) in
-      Some (Model.eval latency_model k)
-
-type round_outcome = {
-  round_seconds : float;
-  observed_seconds : float;
-  answered : int;
-  unanswered : (int * int) list;
-  round_deadline_hit : bool;
-}
-
-(* Answer a round's questions, record them in [dag], and return a
-   {!round_outcome} — the answer count feeds the consensus-resolutions
-   metric without recomputation at the call site, and the observed
-   seconds feed the adaptive runtime's L(q) estimator. RWL / oracle
-   answers are conflict-free by contract, so the per-edge transitive
-   cycle check would be pure overhead; the Oracle path writes each
-   answer straight into the DAG without building an intermediate list.
-
-   Draw-order contract: under [Wait_all] the rng is consumed exactly as
-   it always was — RWL votes first, then the platform's event stream —
-   so aggregates stay bit-identical to the pre-deadline engine. A
-   finite deadline needs the platform's completion report *before*
-   votes can be drawn (only received repetitions count), so that path
-   runs platform-first; it is a distinct, documented draw schedule.
-
-   Raw-slot layout under a deadline: repetition [i] of the raw batch
-   belongs to posted slot [i mod posted] — repetitions interleave
-   across the batch, so early completions spread over all questions
-   instead of finishing the first few in full. Slots past [distinct]
-   are padding and carry no information. *)
-let answer_round ?scratch ?(metrics = Metrics.disabled) rng ~source ~deadline
-    ~latency_model truth dag questions ~distinct ~posted =
-  let record (winner, loser) = Dag.add_answer_unchecked dag ~winner ~loser in
-  let partial_counts platform votes ~deadline =
-    let counts = Array.make distinct 0 in
-    let on_complete idx _time =
-      let slot = idx mod posted in
-      if slot < distinct then counts.(slot) <- counts.(slot) + 1
-    in
-    let report =
-      Platform.simulate ~deadline ~metrics ?scratch platform rng
-        (votes * posted) ~on_complete
-    in
-    (counts, report)
-  in
-  let of_report (report : Platform.report) ~answered ~unanswered =
-    {
-      round_seconds = report.Platform.latency;
-      observed_seconds = report.Platform.last_completion;
-      answered;
-      unanswered;
-      round_deadline_hit = report.Platform.deadline_hit;
-    }
-  in
-  match source with
-  | Oracle ->
-      (* Answers are instant and error-free; latency is purely the
-         model's, so deadline/straggler policies are no-ops here. *)
-      let ranks = Ground_truth.ranks truth in
-      List.iter
-        (fun (a, b) ->
-          if ranks.(a) > ranks.(b) then
-            Dag.add_answer_unchecked dag ~winner:a ~loser:b
-          else Dag.add_answer_unchecked dag ~winner:b ~loser:a)
-        questions;
-      let latency = Model.eval latency_model posted in
-      {
-        round_seconds = latency;
-        observed_seconds = latency;
-        answered = distinct;
-        unanswered = [];
-        round_deadline_hit = false;
-      }
-  | Simulated { platform; rwl } -> (
-      let raw_posted = rwl.Rwl.votes * posted in
-      match round_deadline ~deadline ~latency_model ~posted with
-      | None ->
-          let outcome = Rwl.resolve rng rwl ~truth questions in
-          (* Latency: all raw repetitions of all posted questions
-             (padding included) go to the platform as one batch. *)
-          let latency =
-            Platform.batch_latency ~metrics ?scratch platform rng raw_posted
-          in
-          List.iter record outcome.Rwl.answers;
-          {
-            round_seconds = latency;
-            observed_seconds = latency;
-            answered = List.length outcome.Rwl.answers;
-            unanswered = [];
-            round_deadline_hit = false;
-          }
-      | Some deadline ->
-          let counts, report = partial_counts platform rwl.Rwl.votes ~deadline in
-          let outcome =
-            Rwl.resolve ~votes_received:counts rng rwl ~truth questions
-          in
-          List.iter record outcome.Rwl.answers;
-          of_report report
-            ~answered:(List.length outcome.Rwl.answers)
-            ~unanswered:outcome.Rwl.unanswered)
-  | Simulated_pool { platform; pool; votes } -> (
-      match round_deadline ~deadline ~latency_model ~posted with
-      | None ->
-          let outcome = Rwl.resolve_pool rng ~pool ~votes ~truth questions in
-          let latency =
-            Platform.batch_latency ~metrics ?scratch platform rng
-              (votes * posted)
-          in
-          List.iter record outcome.Rwl.answers;
-          {
-            round_seconds = latency;
-            observed_seconds = latency;
-            answered = List.length outcome.Rwl.answers;
-            unanswered = [];
-            round_deadline_hit = false;
-          }
-      | Some deadline ->
-          let counts, report = partial_counts platform votes ~deadline in
-          let outcome =
-            Rwl.resolve_pool ~votes_received:counts rng ~pool ~votes ~truth
-              questions
-          in
-          List.iter record outcome.Rwl.answers;
-          of_report report
-            ~answered:(List.length outcome.Rwl.answers)
-            ~unanswered:outcome.Rwl.unanswered)
-
-(* Split off the first [k] elements (all of them if fewer). *)
-let rec take_at_most k = function
-  | [] -> ([], [])
-  | x :: rest when k > 0 ->
-      let taken, dropped = take_at_most (k - 1) rest in
-      (x :: taken, dropped)
-  | rest -> ([], rest)
-
-let pair_eq (a, b) (c, d) = a = c && b = d
-let unordered_pair_eq (a, b) (c, d) = (a = c && b = d) || (a = d && b = c)
+let round_deadline = Query.round_deadline
 
 (* Fixed simulated-round-latency buckets (seconds), sized for the
    paper's platform scale (rounds cost hundreds to a few thousand
@@ -257,276 +56,75 @@ let unordered_pair_eq (a, b) (c, d) = (a = c && b = d) || (a = d && b = c)
 let round_latency_buckets () =
   [| 120.0; 180.0; 240.0; 300.0; 420.0; 600.0; 900.0; 1500.0; 3600.0 |]
 
-(* Engine instruments. Every value recorded is a simulated quantity
+(* A reusable runner: policies checked, instruments registered, scratch
+   allocated and the allocation's round budgets unpacked once, shared by
+   every run the closure performs. This is the per-run fast path the
+   replication loops and the bench harness use; a runner must not be
+   shared across domains (the scratch is single-owner mutable state).
+
+   Engine instruments. Every value recorded is a simulated quantity
    (question counts, simulated latencies) except [selector_seconds],
    the lone real-time span — so the engine section minus its spans is
    deterministic given the seed. Recording is a no-op branch when the
    registry is disabled; the golden hex tests pin the disabled path
-   bit-identical to the historical engine.
-
-   The handles live in a record so replication loops can register once
-   per registry instead of once per run: handles survive
-   [Metrics.reset], and instrument lookup is a measurable share of the
-   per-run observability cost on cheap (oracle) configurations. *)
-type instruments = {
-  i_runs : Metrics.counter;
-  i_rounds : Metrics.counter;
-  i_posted : Metrics.counter;
-  i_distinct : Metrics.counter;
-  i_padded : Metrics.counter;
-  i_unanswered : Metrics.counter;
-  i_reissued : Metrics.counter;
-  i_consensus : Metrics.counter;
-  i_deadline_hits : Metrics.counter;
-  i_round_latency : Metrics.histogram;
-  i_sel_span : Metrics.span;
-}
-
-let make_instruments metrics =
-  {
-    i_runs = Metrics.counter metrics ~section:"engine" "runs";
-    i_rounds = Metrics.counter metrics ~section:"engine" "rounds_run";
-    i_posted = Metrics.counter metrics ~section:"engine" "questions_posted";
-    i_distinct = Metrics.counter metrics ~section:"engine" "questions_distinct";
-    i_padded = Metrics.counter metrics ~section:"engine" "questions_padded";
-    i_unanswered =
-      Metrics.counter metrics ~section:"engine" "questions_unanswered";
-    i_reissued = Metrics.counter metrics ~section:"engine" "questions_reissued";
-    i_consensus =
-      Metrics.counter metrics ~section:"engine" "consensus_resolutions";
-    i_deadline_hits = Metrics.counter metrics ~section:"engine" "deadline_hits";
-    i_round_latency =
-      Metrics.histogram metrics ~section:"engine" "round_latency_seconds"
-        ~buckets:(round_latency_buckets ());
-    i_sel_span = Metrics.span metrics ~section:"engine" "selector_seconds";
-  }
-
-(* The single-run engine proper. Callers must have run [check_policies]
-   and registered [instr] on [metrics] (the registry is still threaded
-   through for the platform's own instruments). [scratch] is reusable
-   simulation storage: replication loops pass one handle per worker so
-   consecutive runs (and rounds within a run) share buffers; when
-   absent, a simulated source gets a fresh handle for the run. *)
-let run_registered ?scratch instr ~metrics rng cfg truth =
-  let scratch =
-    match cfg.source with
-    | Oracle -> None
-    | Simulated _ | Simulated_pool _ -> (
-        match scratch with
-        | Some _ -> scratch
-        | None -> Some (Platform.scratch ()))
-  in
-  let {
-    i_runs = m_runs;
-    i_rounds = m_rounds;
-    i_posted = m_posted;
-    i_distinct = m_distinct;
-    i_padded = m_padded;
-    i_unanswered = m_unanswered;
-    i_reissued = m_reissued;
-    i_consensus = m_consensus;
-    i_deadline_hits = m_deadline_hits;
-    i_round_latency = m_round_latency;
-    i_sel_span = sel_span;
-  } =
-    instr
-  in
-  Metrics.incr m_runs;
-  let n = Ground_truth.size truth in
-  let budgets = Array.of_list (Allocation.round_budgets cfg.allocation) in
-  (* At most one answer per posted question, so the total budget bounds
-     the edge pool: preallocating it makes every add allocation-free. *)
-  let dag = Dag.create ~edge_capacity:(Array.fold_left ( + ) 0 budgets) n in
-  let total_rounds = Array.length budgets in
-  let trace = ref [] in
-  let total_latency = ref 0.0 in
-  let questions_posted = ref 0 in
-  let rounds_run = ref 0 in
-  let finished = ref false in
-  let round = ref 0 in
-  (* Straggler queue: questions cut off with zero received votes, as
-     [(pair, remaining reissues)], oldest first. Always empty under
-     [Wait_all] (nothing is ever cut off) and under [Drop]. *)
-  let pending = ref [] in
-  while (not !finished) && !round < total_rounds do
-    let candidates = Dag.candidates dag in
-    if Array.length candidates <= 1 then finished := true
-    else begin
-      let budget = budgets.(!round) in
-      (* Carried stragglers go out first, consuming round budget before
-         the selector sees it. Pairs whose elements lost meanwhile are
-         dead — comparing them again cannot change the RC set — so they
-         must never reach [take_at_most]: a dead pair that consumed a
-         budget slot would crowd out a live selector question. The
-         queue is already pruned at insertion (below); this filter
-         restates the invariant at the consume site so correctness
-         never rests on the insertion discipline alone. *)
-      let live =
-        List.filter
-          (fun ((a, b), _) -> Dag.losses dag a = 0 && Dag.losses dag b = 0)
-          !pending
-      in
-      let carried, deferred = take_at_most budget live in
-      let carried_pairs = List.map fst carried in
-      let sel_budget = budget - List.length carried in
-      let input =
-        {
-          Selection.budget = sel_budget;
-          candidates;
-          history = dag;
-          round_index = !round;
-          total_rounds;
-          carried = carried_pairs;
-        }
-      in
-      let selected =
-        if sel_budget = 0 then []
-        else Metrics.time sel_span (fun () -> cfg.selection.Selection.select rng input)
-      in
-      (* A selector may independently re-pick a carried pair; keep the
-         carried copy only. *)
-      let selected =
-        List.filter
-          (fun q -> not (List.exists (unordered_pair_eq q) carried_pairs))
-          selected
-      in
-      let questions = carried_pairs @ selected in
-      let distinct = List.length questions in
-      let padded =
-        if cfg.pad_to_round_budget && distinct < budget then budget - distinct
-        else 0
-      in
-      let posted = distinct + padded in
-      if posted = 0 then begin
-        (* A selector that asks nothing cannot make progress, but the
-           round still consumed its slot in the allocation vector:
-           record it (zero questions, zero latency) so trace indices
-           stay dense — trajectory/export consumers assume
-           [trace] covers every round run. *)
-        trace :=
-          {
-            round_index = !round;
-            round_budget = budget;
-            distinct_questions = 0;
-            padded_questions = 0;
-            candidates_before = Array.length candidates;
-            candidates_after = Array.length candidates;
-            round_latency = 0.0;
-            unanswered_questions = 0;
-            reissued_questions = 0;
-            deadline_hit = false;
-          }
-          :: !trace;
-        Metrics.incr m_rounds;
-        incr rounds_run;
-        incr round
-      end
-      else begin
-        let {
-          round_seconds = latency;
-          observed_seconds = _;
-          answered;
-          unanswered;
-          round_deadline_hit = deadline_hit;
-        } =
-          answer_round ?scratch ~metrics rng ~source:cfg.source
-            ~deadline:cfg.deadline ~latency_model:cfg.latency_model truth dag
-            questions ~distinct ~posted
-        in
-        total_latency := !total_latency +. latency;
-        questions_posted := !questions_posted + posted;
-        incr rounds_run;
-        (* Straggler bookkeeping: a reposted pair spent one reissue; a
-           freshly cut-off pair gets the policy's full allowance.
-           Invariant: [pending] holds only pairs of still-live
-           candidates at every round boundary — this round's answers
-           may have eliminated an element of a deferred or freshly
-           cut-off pair, so prune against the post-round DAG before
-           queueing. *)
-        let reissues_left pair =
-          match List.find_opt (fun (p, _) -> pair_eq p pair) carried with
-          | Some (_, r) -> if r = max_int then max_int else r - 1
-          | None -> (
-              match cfg.straggler with
-              | Drop -> 0
-              | Carry_forward -> max_int
-              | Reissue cap -> cap)
-        in
-        pending :=
-          List.filter
-            (fun ((a, b), _) -> Dag.losses dag a = 0 && Dag.losses dag b = 0)
-            (deferred
-            @ List.filter_map
-                (fun pair ->
-                  let r = reissues_left pair in
-                  if r > 0 then Some (pair, r) else None)
-                unanswered);
-        let unanswered_count = List.length unanswered in
-        let reissued_count = List.length carried in
-        let after = Dag.candidate_count dag in
-        Metrics.incr m_rounds;
-        Metrics.add m_posted posted;
-        Metrics.add m_distinct distinct;
-        Metrics.add m_padded padded;
-        Metrics.add m_unanswered unanswered_count;
-        Metrics.add m_reissued reissued_count;
-        Metrics.add m_consensus answered;
-        if deadline_hit then Metrics.incr m_deadline_hits;
-        Metrics.observe m_round_latency latency;
-        trace :=
-          {
-            round_index = !round;
-            round_budget = budget;
-            distinct_questions = distinct;
-            padded_questions = padded;
-            candidates_before = Array.length candidates;
-            candidates_after = after;
-            round_latency = latency;
-            unanswered_questions = unanswered_count;
-            reissued_questions = reissued_count;
-            deadline_hit;
-          }
-          :: !trace;
-        incr round;
-        if after <= 1 then finished := true
-      end
-    end
-  done;
-  let remaining = Dag.remaining_candidates dag in
-  let singleton = match remaining with [ _ ] -> true | _ -> false in
-  let chosen =
-    match remaining with
-    | [ w ] -> w
-    | [] -> assert false (* someone always remains unbeaten *)
-    | _ :: _ -> (
-        match Scoring.ranked_candidates dag with
-        | best :: _ -> best
-        | [] -> assert false)
-  in
-  {
-    chosen;
-    correct = chosen = Ground_truth.max_element truth;
-    singleton;
-    rounds_run = !rounds_run;
-    questions_posted = !questions_posted;
-    total_latency = !total_latency;
-    trace = List.rev !trace;
-  }
-
-let run ?(metrics = Metrics.disabled) rng cfg truth =
-  check_policies cfg;
-  run_registered (make_instruments metrics) ~metrics rng cfg truth
-
-(* A reusable runner: policies checked, instruments registered and
-   scratch allocated once, shared by every run the closure performs.
-   This is the per-run fast path the replication loops and the bench
-   harness use; a runner must not be shared across domains (the scratch
-   is single-owner mutable state). *)
+   bit-identical to the historical engine. Registering once per runner
+   rather than once per run matters: handles survive [Metrics.reset],
+   and instrument lookup is a measurable share of the per-run
+   observability cost on cheap (oracle) configurations. *)
 let runner ?(metrics = Metrics.disabled) cfg =
   check_policies cfg;
-  let instr = make_instruments metrics in
-  let scratch = Platform.scratch () in
-  fun rng truth -> run_registered ~scratch instr ~metrics rng cfg truth
+  let counter name = Metrics.counter metrics ~section:"engine" name in
+  let m_runs = counter "runs" in
+  let m_rounds = counter "rounds_run" in
+  let m_posted = counter "questions_posted" in
+  let m_distinct = counter "questions_distinct" in
+  let m_padded = counter "questions_padded" in
+  let m_unanswered = counter "questions_unanswered" in
+  let m_reissued = counter "questions_reissued" in
+  let m_consensus = counter "consensus_resolutions" in
+  let m_deadline_hits = counter "deadline_hits" in
+  let m_round_latency =
+    Metrics.histogram metrics ~section:"engine" "round_latency_seconds"
+      ~buckets:(round_latency_buckets ())
+  in
+  let sel_span = Metrics.span metrics ~section:"engine" "selector_seconds" in
+  let scratch =
+    match cfg.source with
+    | Oracle -> None (* answers never reach the platform *)
+    | Simulated _ | Simulated_pool _ -> Some (Platform.scratch ())
+  in
+  let planner =
+    Query.Static (Array.of_list (Allocation.round_budgets cfg.allocation))
+  in
+  let budget = Allocation.questions_total cfg.allocation in
+  let answer rng q =
+    Query.answer ?scratch ~metrics rng ~source:cfg.source ~deadline:cfg.deadline
+      ~latency_model:cfg.latency_model q
+  in
+  (* A round that posted nothing (padding off, selector out of
+     questions) only counts as run. *)
+  let observe q (o : Query.round_outcome) =
+    Metrics.incr m_rounds;
+    let posted = Query.posted q and distinct = Query.distinct q in
+    if posted > 0 then begin
+      Metrics.add m_posted posted;
+      Metrics.add m_distinct distinct;
+      Metrics.add m_padded (posted - distinct);
+      Metrics.add m_unanswered (List.length o.unanswered);
+      Metrics.add m_reissued (Query.reissued q);
+      Metrics.add m_consensus o.answered;
+      if o.round_deadline_hit then Metrics.incr m_deadline_hits;
+      Metrics.observe m_round_latency o.round_seconds
+    end
+  in
+  fun rng truth ->
+    Metrics.incr m_runs;
+    Query.run
+      (Query.create ~straggler:cfg.straggler ~budget truth)
+      ~planner ~pad:cfg.pad_to_round_budget ~selection:cfg.selection
+      ~span:sel_span ~answer ~observe rng
+
+let run ?metrics rng cfg truth = runner ?metrics cfg rng truth
 
 type timing = { jobs : int; wall_seconds : float; runs_per_sec : float }
 
@@ -602,30 +200,12 @@ let replicate ?(jobs = 1) ~runs ~seed cfg ~elements =
   if jobs < 1 then invalid_arg "Engine.replicate: jobs < 1";
   check_policies cfg;
   let t0 = Clock.now () in
-  let rngs = per_run_rngs ~runs ~seed in
   let results =
-    if jobs = 1 then begin
-      (* One worker: hoist the (no-op) instruments and the simulation
-         scratch out of the per-run loop. *)
-      let instr = make_instruments Metrics.disabled in
-      let scratch = Platform.scratch () in
-      Array.map
-        (fun rng ->
-          let truth = Ground_truth.random rng elements in
-          run_registered ~scratch instr ~metrics:Metrics.disabled rng cfg truth)
-        rngs
-    end
-    else begin
-      (* The closure is shared by every pool domain, so it cannot carry
-         a common scratch; each run gets its own. Disabled-registry
-         instrument handles are immutable no-ops, safe to share. *)
-      let instr = make_instruments Metrics.disabled in
-      let one rng =
-        let truth = Ground_truth.random rng elements in
-        run_registered instr ~metrics:Metrics.disabled rng cfg truth
-      in
-      Parallel.with_pool ~jobs (fun pool -> Parallel.map pool one rngs)
-    end
+    Parallel.map_chunks ~jobs
+      (fun rngs ->
+        let run = runner cfg in
+        Array.map (fun rng -> run rng (Ground_truth.random rng elements)) rngs)
+      (per_run_rngs ~runs ~seed)
   in
   aggregate_results ~runs ~timing:(make_timing ~jobs ~runs t0) results
 
@@ -650,53 +230,32 @@ let replicate_with_metrics ?(jobs = 1) ~runs ~seed cfg ~elements =
   check_policies cfg;
   let t0 = Clock.now () in
   let rngs = per_run_rngs ~runs ~seed in
-  if jobs = 1 then (
-    (* Single chunk: one reused registry with instruments registered
-       once, absorbed into a mutable accumulator after every run.
+  let aggregate results =
+    aggregate_results ~runs ~timing:(make_timing ~jobs ~runs t0) results
+  in
+  (* [record metrics] keeps what a finished run left in the chunk's
+     registry, before the next run resets it. *)
+  let chunk record rngs =
+    let metrics = Metrics.create () in
+    let run = runner ~metrics cfg in
+    Array.map
+      (fun rng ->
+        Metrics.reset metrics;
+        let result = run rng (Ground_truth.random rng elements) in
+        (result, record metrics))
+      rngs
+  in
+  if jobs = 1 then begin
+    (* Single chunk: every run is absorbed into a mutable accumulator.
        [absorb]'s value grouping is the left-fold merge of the per-run
        snapshots — exactly the parallel path's final fold — so the
        merged document is bit-identical for any [jobs] while the
        sequential path allocates no snapshots at all. *)
-    let metrics = Metrics.create () in
     let acc = Metrics.create () in
-    let instr = make_instruments metrics in
-    let scratch = Platform.scratch () in
-    let results =
-      Array.map
-        (fun rng ->
-          Metrics.reset metrics;
-          let truth = Ground_truth.random rng elements in
-          let result = run_registered ~scratch instr ~metrics rng cfg truth in
-          Metrics.absorb ~into:acc metrics;
-          result)
-        rngs
-    in
-    ( aggregate_results ~runs ~timing:(make_timing ~jobs ~runs t0) results,
-      Metrics.snapshot acc ))
+    let pairs = chunk (fun metrics -> Metrics.absorb ~into:acc metrics) rngs in
+    (aggregate (Array.map fst pairs), Metrics.snapshot acc)
+  end
   else
-    let nchunks = min runs jobs in
-    let bound i = i * runs / nchunks in
-    let chunk ci =
-      let lo = bound ci in
-      let metrics = Metrics.create () in
-      let instr = make_instruments metrics in
-      let scratch = Platform.scratch () in
-      Array.init
-        (bound (ci + 1) - lo)
-        (fun k ->
-          let rng = rngs.(lo + k) in
-          Metrics.reset metrics;
-          let truth = Ground_truth.random rng elements in
-          let result = run_registered ~scratch instr ~metrics rng cfg truth in
-          (result, Metrics.snapshot metrics))
-    in
-    let chunks =
-      Parallel.with_pool ~jobs (fun pool -> Parallel.init pool nchunks chunk)
-    in
-    let pairs = Array.concat (Array.to_list chunks) in
-    let results = Array.map fst pairs in
-    let snapshots = Array.to_list (Array.map snd pairs) in
-    let aggregate =
-      aggregate_results ~runs ~timing:(make_timing ~jobs ~runs t0) results
-    in
-    (aggregate, Metrics.merge snapshots)
+    let pairs = Parallel.map_chunks ~jobs (chunk Metrics.snapshot) rngs in
+    ( aggregate (Array.map fst pairs),
+      Metrics.merge (Array.to_list (Array.map snd pairs)) )

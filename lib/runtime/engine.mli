@@ -1,13 +1,14 @@
 (** The MAX-operator execution engine (Sec. 1-2).
 
-    Runs the round loop: take the next round budget from the allocation
-    vector, let the question-selection algorithm pick the round's
-    questions among the surviving candidates, obtain answers (from the
-    error-free oracle, or from the simulated platform through the RWL),
-    fold them into the answer DAG, and advance the winners. Stops early
-    as soon as a single candidate remains; if the vector runs out with
-    several candidates left (no singleton termination), the
-    highest-scoring candidate is returned as the best guess.
+    Runs the {!Query} round loop over a fixed allocation: take the next
+    round budget from the allocation vector, let the question-selection
+    algorithm pick the round's questions among the surviving
+    candidates, obtain answers (from the error-free oracle, or from the
+    simulated platform through the RWL), fold them into the answer DAG,
+    and advance the winners. Stops early as soon as a single candidate
+    remains; if the vector runs out with several candidates left (no
+    singleton termination), the highest-scoring candidate is returned
+    as the best guess.
 
     Latency accounting follows the paper: a round that posts [q]
     questions costs [L(q)]. Budget allocators other than tDP "always use
@@ -17,54 +18,11 @@
     information. [pad_to_round_budget = false] disables this for
     ablations. *)
 
-type answer_source =
-  | Oracle
-      (** error-free workers: every question is answered truthfully and
-          instantly by the ground truth; latency comes from the model *)
-  | Simulated of {
-      platform : Crowdmax_crowd.Platform.t;
-      rwl : Crowdmax_crowd.Rwl.config;
-    }
-      (** the discrete-event platform answers (with worker errors) and
-          the RWL cleans them up; round latency is the simulated batch
-          completion time of all [votes * q] raw questions *)
-  | Simulated_pool of {
-      platform : Crowdmax_crowd.Platform.t;
-      pool : Crowdmax_crowd.Worker_pool.t;
-      votes : int;
-    }
-      (** identified workers with heterogeneous latent accuracy; the RWL
-          forms each round's answers by accuracy-weighted consensus
-          ([Rwl.resolve_pool]); latency as in [Simulated] *)
-
-type deadline_policy =
-  | Wait_all
-      (** block until every raw question of the round is answered — the
-          paper's (and this engine's historical) behavior. Keeps rng
-          draw order and therefore aggregates bit-identical to the
-          pre-deadline engine. *)
-  | Fixed of float
-      (** cut every round off [d] simulated seconds after posting
-          (must be > 0) *)
-  | Quantile of float
-      (** [Quantile p], [p] in (0, 1]: cut the round off at the latency
-          model's predicted completion time of the ceil(p * posted)-th
-          posted question — wait for the modeled p-th completion
-          instead of the tail-dominated last one. [posted] counts
-          {e distinct posted questions}, the one q-unit every consumer
-          of L(q) uses (planner budgets, the Oracle path, the adaptive
-          refit window); the [votes ×] repetition a simulated source
-          posts is an environment property absorbed into the fitted
-          model, never an argument to it. *)
-
-type straggler_policy =
-  | Drop  (** forget questions that got zero votes by the deadline *)
-  | Carry_forward
-      (** repost them in later rounds, ahead of the selector's picks,
-          for as long as both elements remain candidates *)
-  | Reissue of int
-      (** like [Carry_forward] but each question is reposted at most
-          that many times ([Reissue 0] = [Drop]) *)
+include module type of struct
+  include Query.Types
+end
+(** The answer sources, deadline and straggler policies, and the
+    per-round and per-query records ({!Query.Types}). *)
 
 type config = {
   allocation : Crowdmax_core.Allocation.t;
@@ -113,85 +71,14 @@ val plan_config :
     collection-size sweep of configs pay the table build once.
     Remaining optionals default as in {!config}. *)
 
-type round_record = {
-  round_index : int;
-  round_budget : int;
-  distinct_questions : int;  (** informative questions posted *)
-  padded_questions : int;  (** redundant filler posted *)
-  candidates_before : int;
-  candidates_after : int;
-  round_latency : float;
-  unanswered_questions : int;
-      (** distinct questions cut off with zero received votes (0 under
-          [Wait_all]) *)
-  reissued_questions : int;
-      (** carried straggler questions reposted this round (0 under
-          [Wait_all] / [Drop]) *)
-  deadline_hit : bool;  (** the round's deadline cut the event loop *)
-}
-
-type result = {
-  chosen : int;  (** the element returned as the MAX *)
-  correct : bool;  (** equals the true MAX *)
-  singleton : bool;  (** exactly one candidate remained (Sec. 4) *)
-  rounds_run : int;
-  questions_posted : int;  (** distinct + padded over all rounds run *)
-  total_latency : float;
-  trace : round_record list;  (** in round order *)
-}
-
 val round_deadline :
   deadline:deadline_policy ->
   latency_model:Crowdmax_latency.Model.t ->
   posted:int ->
   float option
-(** The per-round cutoff a policy imposes, if any: [None] for
-    [Wait_all], the fixed value for [Fixed], and for [Quantile p] the
-    latency model evaluated at [max 1 (ceil (p * posted))] — [posted]
-    in {e distinct posted questions}, the pinned L(q) unit convention
-    (see {!deadline_policy}). Exposed for drivers that run the platform
+(** {!Query.round_deadline}, for drivers that run the platform
     themselves (the query server) and for unit-convention regression
     tests. *)
-
-type round_outcome = {
-  round_seconds : float;
-      (** what the round cost the caller: the simulated batch completion
-          time, clipped to the deadline when one was hit (or the latency
-          model's prediction under [Oracle]) *)
-  observed_seconds : float;
-      (** the platform's actual last-completion time, never
-          deadline-clipped ({!Crowdmax_crowd.Platform.report}'s
-          [last_completion]) — the honest measurement an L(q) estimator
-          should see; equals [round_seconds] when no deadline was hit *)
-  answered : int;  (** answers recorded into the DAG *)
-  unanswered : (int * int) list;
-      (** distinct questions cut off with zero received votes *)
-  round_deadline_hit : bool;
-}
-
-val answer_round :
-  ?scratch:Crowdmax_crowd.Platform.scratch ->
-  ?metrics:Crowdmax_obs.Metrics.t ->
-  Crowdmax_util.Rng.t ->
-  source:answer_source ->
-  deadline:deadline_policy ->
-  latency_model:Crowdmax_latency.Model.t ->
-  Crowdmax_crowd.Ground_truth.t ->
-  Crowdmax_graph.Answer_dag.t ->
-  (int * int) list ->
-  distinct:int ->
-  posted:int ->
-  round_outcome
-(** Answer one round's [questions] (first [distinct] informative, the
-    rest padding up to [posted]) and fold the answers into the DAG —
-    the single round step [run] iterates, exposed so other drivers (the
-    adaptive runtime above all) obtain answers and {e observed round
-    seconds} through exactly the engine's draw schedule. Under
-    [Wait_all] the rng is consumed RWL-votes-first then platform, the
-    historical order the golden aggregates pin; a finite deadline runs
-    platform-first (see the draw-order note in [run]). Callers are
-    responsible for policy validation ([run] does it via its config
-    check) and for padding semantics. *)
 
 val runner :
   ?metrics:Crowdmax_obs.Metrics.t ->
@@ -227,6 +114,7 @@ val run :
     on the simulated path, so enabling it cannot change the result —
     the golden hex tests pin this.
 
+    The rounds run through {!Query.run} with a {!Query.Static} planner.
     With a finite {!deadline_policy} on a simulated source, a round
     stops collecting answers at its deadline: questions with a partial
     vote set are decided by majority (or weighted consensus) over the

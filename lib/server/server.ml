@@ -1,18 +1,14 @@
 open Crowdmax_util
 module Metrics = Crowdmax_obs.Metrics
-module Dag = Crowdmax_graph.Answer_dag
-module Scoring = Crowdmax_graph.Scoring
 module Model = Crowdmax_latency.Model
 module Contention = Crowdmax_latency.Contention
-module Problem = Crowdmax_core.Problem
 module Tdp = Crowdmax_core.Tdp
-module Allocation = Crowdmax_core.Allocation
-module Selection = Crowdmax_selection.Selection
 module Ground_truth = Crowdmax_crowd.Ground_truth
 module Platform = Crowdmax_crowd.Platform
 module Rwl = Crowdmax_crowd.Rwl
 module Worker = Crowdmax_crowd.Worker
 module Engine = Crowdmax_runtime.Engine
+module Query = Crowdmax_runtime.Query
 
 type query_spec = {
   label : string;
@@ -74,14 +70,7 @@ let check_specs specs =
         invalid_arg "Server.run: budget below Theorem 1's minimum";
       if s.votes < 1 then invalid_arg "Server.run: votes < 1";
       if s.admit_step < 0 then invalid_arg "Server.run: admit_step < 0";
-      match s.deadline with
-      | Engine.Wait_all -> ()
-      | Engine.Fixed d ->
-          if Float.is_nan d || d <= 0.0 then
-            invalid_arg "Server.run: Fixed deadline must be > 0"
-      | Engine.Quantile p ->
-          if Float.is_nan p || p <= 0.0 || p > 1.0 then
-            invalid_arg "Server.run: Quantile must be in (0, 1]")
+      Query.check_deadline ~caller:"Server.run" s.deadline)
     specs
 
 (* Fixed whole-query latency buckets (simulated seconds): a query's
@@ -92,23 +81,14 @@ let query_latency_bucket_spec =
   Metrics.bucket_spec
     [| 600.0; 1200.0; 2400.0; 4800.0; 9600.0; 19200.0; 38400.0; 76800.0 |]
 
-(* Per-query live state. [last_posted] feeds the fleet-load estimate
-   the other queries plan against. *)
+(* Per-query server state around the query's own state machine. *)
 type query_state = {
   spec : query_spec;
-  truth : Ground_truth.t;
-  dag : Dag.t;
-  rwl : Rwl.config;
+  query : Query.t;
+  source : Engine.answer_source;
   cache : Tdp.Cache.t;
-  mutable admitted : bool;
-  mutable finished : bool;
   mutable admitted_at : float;
-  mutable remaining : int;
-  mutable rounds : int;
-  mutable questions : int;
-  mutable latency_sum : float;
   mutable deadline_hits : int;
-  mutable last_posted : int option;
   mutable last_model : Model.t option;
   mutable report : query_report option;
 }
@@ -131,18 +111,15 @@ let run ?(metrics = Metrics.disabled) ?scratch ?contention
   let base =
     match contention with Some c -> Contention.base c | None -> latency
   in
-  let m_admitted = Metrics.counter metrics ~section:"server" "queries_admitted" in
-  let m_completed = Metrics.counter metrics ~section:"server" "queries_completed" in
-  let m_steps = Metrics.counter metrics ~section:"server" "fleet_steps" in
-  let m_rounds = Metrics.counter metrics ~section:"server" "rounds_run" in
-  let m_posted = Metrics.counter metrics ~section:"server" "questions_posted" in
-  let m_replans = Metrics.counter metrics ~section:"server" "replans" in
-  let m_contention_replans =
-    Metrics.counter metrics ~section:"server" "contention_replans"
-  in
-  let m_deadline_hits =
-    Metrics.counter metrics ~section:"server" "deadline_hits"
-  in
+  let counter name = Metrics.counter metrics ~section:"server" name in
+  let m_admitted = counter "queries_admitted" in
+  let m_completed = counter "queries_completed" in
+  let m_steps = counter "fleet_steps" in
+  let m_rounds = counter "rounds_run" in
+  let m_posted = counter "questions_posted" in
+  let m_replans = counter "replans" in
+  let m_contention_replans = counter "contention_replans" in
+  let m_deadline_hits = counter "deadline_hits" in
   let m_active_peak = Metrics.peak metrics ~section:"server" "active_queries_peak" in
   let m_query_latency =
     Metrics.histogram_spec metrics ~section:"server" "query_latency_seconds"
@@ -151,24 +128,25 @@ let run ?(metrics = Metrics.disabled) ?scratch ?contention
   let scratch =
     match scratch with Some s -> s | None -> Platform.scratch ()
   in
+  (* Queries never pad and drop what a deadline cuts off: the next
+     step's re-plan and re-selection subsume any carry-forward. *)
   let states =
     Array.mapi
       (fun i spec ->
         {
           spec;
-          truth = truths.(i);
-          dag = Dag.create spec.elements;
-          rwl = { Rwl.votes = spec.votes; error = spec.error };
+          query =
+            Query.create ~straggler:Engine.Drop
+              ~budget:spec.budget truths.(i);
+          source =
+            Engine.Simulated
+              {
+                platform;
+                rwl = { Rwl.votes = spec.votes; error = spec.error };
+              };
           cache = Tdp.Cache.create ();
-          admitted = false;
-          finished = false;
           admitted_at = 0.0;
-          remaining = spec.budget;
-          rounds = 0;
-          questions = 0;
-          latency_sum = 0.0;
           deadline_hits = 0;
-          last_posted = None;
           last_model = None;
           report = None;
         })
@@ -177,43 +155,32 @@ let run ?(metrics = Metrics.disabled) ?scratch ?contention
   let clock = ref 0.0 in
   let step = ref 0 in
   let contention_replans = ref 0 in
+  let finished st = Option.is_some st.report in
   let finalize st =
-    st.finished <- true;
-    let remaining_c = Dag.remaining_candidates st.dag in
-    let singleton = match remaining_c with [ _ ] -> true | _ -> false in
-    let chosen =
-      match remaining_c with
-      | [ w ] -> w
-      | _ -> (
-          match Scoring.ranked_candidates st.dag with
-          | best :: _ -> best
-          | [] -> 0)
-    in
+    let r = Query.finish st.query in
     Metrics.incr m_completed;
-    Metrics.observe m_query_latency st.latency_sum;
+    Metrics.observe m_query_latency r.Engine.total_latency;
     st.report <-
       Some
         {
           label = st.spec.label;
-          chosen;
-          correct = chosen = Ground_truth.max_element st.truth;
-          singleton;
-          rounds = st.rounds;
-          questions = st.questions;
-          latency = st.latency_sum;
+          chosen = r.Engine.chosen;
+          correct = r.Engine.correct;
+          singleton = r.Engine.singleton;
+          rounds = r.Engine.rounds_run;
+          questions = r.Engine.questions_posted;
+          latency = r.Engine.total_latency;
           sojourn = !clock -. st.admitted_at;
           admitted_at = st.admitted_at;
           deadline_hits = st.deadline_hits;
         }
   in
-  let unfinished () = Array.exists (fun st -> not st.finished) states in
-  while unfinished () do
+  while Array.exists (fun st -> not (finished st)) states do
     (* Admission: the arrival schedule is in fleet steps, deterministic
        by construction. *)
     Array.iter
       (fun st ->
-        if (not st.admitted) && st.spec.admit_step <= !step then begin
-          st.admitted <- true;
+        if st.spec.admit_step = !step then begin
           st.admitted_at <- !clock;
           Metrics.incr m_admitted
         end)
@@ -222,167 +189,119 @@ let run ?(metrics = Metrics.disabled) ?scratch ?contention
        between >= 2 candidates with budget to spend. Queries failing
        the candidate/budget test finalize now (at the pre-step clock:
        they post nothing this step). *)
-    let posting = ref [] in
-    Array.iter
-      (fun st ->
-        if st.admitted && not st.finished then begin
-          let c = Dag.candidate_count st.dag in
-          if c <= 1 || st.remaining < c - 1 then finalize st
-          else posting := st :: !posting
-        end)
-      states;
-    let posting = Array.of_list (List.rev !posting) in
-    let np = Array.length posting in
-    Metrics.record_peak m_active_peak np;
-    if np > 0 then begin
-      (* Fleet-load estimate per posting query: the raw questions the
-         *others* are about to keep in flight. A query that has posted
-         before is estimated at its previous round's raw size; a fresh
-         one at votes * (c0 - 1) (Theorem 1's floor — conservative, but
-         available without solving the circular "everyone's plan
-         depends on everyone's plan" fixpoint). One step of lag is the
-         price of a deterministic, order-independent estimate. *)
-      let load_of st =
-        st.spec.votes
-        * (match st.last_posted with
-          | Some p -> p
-          | None -> st.spec.elements - 1)
+    let posting =
+      List.filter
+        (fun st ->
+          let active = st.spec.admit_step <= !step && not (finished st) in
+          let open_ = active && Query.can_plan st.query in
+          if active && not open_ then finalize st;
+          open_)
+        (Array.to_list states)
+    in
+    Metrics.record_peak m_active_peak (List.length posting);
+    (* Fleet-load estimate per posting query: the raw questions the
+       *others* are about to keep in flight. A query that has posted
+       before is estimated at its previous round's raw size; a fresh one
+       at votes * (c0 - 1) (Theorem 1's floor — conservative, but
+       available without solving the circular "everyone's plan depends
+       on everyone's plan" fixpoint). One step of lag is the price of a
+       deterministic, order-independent estimate. *)
+    let load_of st =
+      st.spec.votes
+      * if Query.rounds st.query = 0 then st.spec.elements - 1
+        else Query.posted st.query
+    in
+    let total_load =
+      List.fold_left (fun acc st -> acc + load_of st) 0 posting
+    in
+    (* Plan + select, in admission (spec) order: all selection draws
+       happen before any platform draw, a fixed documented schedule.
+       Queries whose plan or selector has nothing left finalize; the
+       rest go to the shared marketplace as one fleet round. *)
+    let live =
+      List.filter
+        (fun st ->
+          let model =
+            match contention with
+            | None -> base
+            | Some cm ->
+                Contention.effective cm ~other_load:(total_load - load_of st)
+          in
+          (match st.last_model with
+          | Some m when not (Model.equal m model) ->
+              incr contention_replans;
+              Metrics.incr m_contention_replans
+          | _ -> ());
+          st.last_model <- Some model;
+          let planned =
+            Query.plan st.query
+              (Query.Replanning (Query.replan ~cache:st.cache ~model))
+          in
+          Metrics.incr m_replans;
+          let asking =
+            planned
+            && Query.select st.query ~pad:false ~selection ~span:Metrics.untimed
+                 rng
+          in
+          if not asking then finalize st;
+          asking)
+        posting
+      |> Array.of_list
+    in
+    if Array.length live > 0 then begin
+      let qs =
+        Array.map (fun st -> st.spec.votes * Query.posted st.query) live
       in
-      let total_load = Array.fold_left (fun acc st -> acc + load_of st) 0 posting in
-      (* Plan + select, in admission (spec) order: all selection draws
-         happen before any platform draw, a fixed documented schedule. *)
-      let batches =
+      (* Deadline quotes come from the *advertised* solo model, not the
+         planner's internal contention estimate: the requester's
+         patience is a property of the workload, so a Quantile cutoff
+         must be the same number of seconds whichever planning arm
+         serves it — otherwise a contention-aware server "improves"
+         simply by quoting itself more time per round. *)
+      let deadlines =
         Array.map
           (fun st ->
-            let candidates = Dag.candidates st.dag in
-            let c = Array.length candidates in
-            let model =
-              match contention with
-              | None -> base
-              | Some cm ->
-                  Contention.effective cm ~other_load:(total_load - load_of st)
-            in
-            (match st.last_model with
-            | Some m when not (Model.equal m model) ->
-                incr contention_replans;
-                Metrics.incr m_contention_replans
-            | _ -> ());
-            st.last_model <- Some model;
-            let plan =
-              Tdp.solve ~cache:st.cache
-                (Problem.create ~elements:c ~budget:st.remaining ~latency:model)
-            in
-            Metrics.incr m_replans;
-            let round_budget =
-              match Allocation.round_budgets plan.Tdp.allocation with
-              | q :: _ -> min q st.remaining
-              | [] -> 0
-            in
-            let questions =
-              if round_budget = 0 then []
-              else
-                selection.Selection.select rng
-                  {
-                    Selection.budget = round_budget;
-                    candidates;
-                    history = st.dag;
-                    round_index = st.rounds;
-                    total_rounds =
-                      st.rounds + Allocation.rounds plan.Tdp.allocation;
-                    carried = [];
-                  }
-            in
-            let posted = List.length questions in
-            (* Deadline quotes come from the *advertised* solo model,
-               not the planner's internal contention estimate: the
-               requester's patience is a property of the workload, so
-               a Quantile cutoff must be the same number of seconds
-               whichever planning arm serves it — otherwise a
-               contention-aware server "improves" simply by quoting
-               itself more time per round. *)
-            let deadline =
-              match
-                Engine.round_deadline ~deadline:st.spec.deadline
-                  ~latency_model:base ~posted:(max 1 posted)
-              with
-              | None -> Float.infinity
-              | Some d -> d
-            in
-            (st, questions, posted, deadline))
-          posting
+            match
+              Engine.round_deadline ~deadline:st.spec.deadline
+                ~latency_model:base ~posted:(Query.posted st.query)
+            with
+            | None -> Float.infinity
+            | Some d -> d)
+          live
       in
-      (* Queries whose selector returned nothing finalize; the rest go
-         to the shared marketplace as one fleet round. *)
-      Array.iter
-        (fun (st, _, posted, _) -> if posted = 0 then finalize st)
-        batches;
-      let live =
-        Array.of_list
-          (List.filter
-             (fun (_, _, posted, _) -> posted > 0)
-             (Array.to_list batches))
+      let counts = Array.map (fun st -> Query.vote_counts st.query) live in
+      let on_complete ~query idx _time =
+        Query.count_vote live.(query).query counts.(query) idx
       in
-      if Array.length live > 0 then begin
-        let qs =
-          Array.map (fun (st, _, posted, _) -> st.spec.votes * posted) live
-        in
-        let deadlines = Array.map (fun (_, _, _, d) -> d) live in
-        let counts =
-          Array.map (fun (_, _, posted, _) -> Array.make posted 0) live
-        in
-        (* Raw slot [i] of a query is repetition [i mod posted] — the
-           engine's interleaved raw-slot layout, so early completions
-           spread across the whole batch. *)
-        let on_complete ~query idx _time =
-          let (_, _, posted, _) = live.(query) in
-          let slot = idx mod posted in
-          counts.(query).(slot) <- counts.(query).(slot) + 1
-        in
-        let reports =
-          Platform.simulate_shared ~deadlines ~metrics ~scratch platform rng
-            ~pick ~on_complete qs
-        in
-        (* Vote resolution per query, again in admission order. *)
-        let step_seconds = ref 0.0 in
-        Array.iteri
-          (fun i (st, questions, posted, _) ->
-            let outcome =
-              Rwl.resolve ~votes_received:counts.(i) rng st.rwl ~truth:st.truth
-                questions
-            in
-            List.iter
-              (fun (winner, loser) ->
-                Dag.add_answer_unchecked st.dag ~winner ~loser)
-              outcome.Rwl.answers;
-            let report = reports.(i) in
-            let round_latency = report.Platform.latency in
-            st.latency_sum <- st.latency_sum +. round_latency;
-            st.rounds <- st.rounds + 1;
-            st.questions <- st.questions + posted;
-            st.remaining <- st.remaining - posted;
-            st.last_posted <- Some posted;
-            if report.Platform.deadline_hit then begin
-              st.deadline_hits <- st.deadline_hits + 1;
-              Metrics.incr m_deadline_hits
-            end;
-            Metrics.incr m_rounds;
-            Metrics.add m_posted posted;
-            if round_latency > !step_seconds then step_seconds := round_latency)
-          live;
-        (* Barrier semantics: the fleet step lasts as long as its
-           slowest round. *)
-        clock := !clock +. !step_seconds
-      end
+      let reports =
+        Platform.simulate_shared ~deadlines ~metrics ~scratch platform rng
+          ~pick ~on_complete qs
+      in
+      (* Vote resolution per query, again in admission order. *)
+      let step_seconds = ref 0.0 in
+      Array.iteri
+        (fun i st ->
+          let outcome =
+            Query.resolve_received rng st.source st.query counts.(i) reports.(i)
+          in
+          Query.absorb st.query outcome;
+          if outcome.Query.round_deadline_hit then begin
+            st.deadline_hits <- st.deadline_hits + 1;
+            Metrics.incr m_deadline_hits
+          end;
+          Metrics.incr m_rounds;
+          Metrics.add m_posted (Query.posted st.query);
+          if outcome.Query.round_seconds > !step_seconds then
+            step_seconds := outcome.Query.round_seconds)
+        live;
+      (* Barrier semantics: the fleet step lasts as long as its slowest
+         round. *)
+      clock := !clock +. !step_seconds
     end;
     Metrics.incr m_steps;
     incr step
   done;
-  let queries =
-    Array.map
-      (fun st ->
-        match st.report with Some r -> r | None -> assert false)
-      states
-  in
+  let queries = Array.map (fun st -> Option.get st.report) states in
   let latencies = Array.map (fun r -> r.latency) queries in
   let fleet_mean_latency =
     Array.fold_left ( +. ) 0.0 latencies /. float_of_int nq
@@ -448,23 +367,11 @@ let replicate ?(jobs = 1) ?contention ?pick ~platform ~latency ~selection ~runs
       truths
   in
   let results =
-    if jobs = 1 then begin
-      let scratch = Platform.scratch () in
-      Array.map (one scratch) rngs
-    end
-    else begin
-      let nchunks = min runs jobs in
-      let bound i = i * runs / nchunks in
-      let chunk ci =
+    Parallel.map_chunks ~jobs
+      (fun rngs ->
         let scratch = Platform.scratch () in
-        let lo = bound ci in
-        Array.init (bound (ci + 1) - lo) (fun k -> one scratch rngs.(lo + k))
-      in
-      let chunks =
-        Parallel.with_pool ~jobs (fun pool -> Parallel.init pool nchunks chunk)
-      in
-      Array.concat (Array.to_list chunks)
-    end
+        Array.map (one scratch) rngs)
+      rngs
   in
   let fruns = float_of_int runs in
   let meanf f = Array.fold_left (fun acc r -> acc +. f r) 0.0 results /. fruns in

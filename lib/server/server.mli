@@ -5,15 +5,17 @@
 
     The server admits a deterministic schedule of queries (mixed
     collection sizes, budgets, vote counts and deadline policies) and
-    runs a round-synchronized fleet loop: each {e fleet step}, every
-    active query re-plans its remaining budget through tDP, selects
-    its round's questions, and all batches go to {e one}
+    runs a round-synchronized fleet loop over the per-query
+    {!Crowdmax_runtime.Query} state machines: each {e fleet step},
+    every active query plans (re-solves its remaining budget through
+    tDP) and selects its round's questions, all batches go to {e one}
     {!Crowdmax_crowd.Platform.simulate_shared} marketplace — a single
     worker arrival stream whose rate sees the fleet's total visible
     load, with workers picking between queries by the configured
-    policy. Votes are resolved per query through the RWL exactly like
-    the single-query engine; a fleet step lasts as long as its slowest
-    round (barrier semantics).
+    policy — and then every query resolves its votes through the RWL
+    and absorbs the round. Queries never pad and drop the questions a
+    deadline cuts off; a fleet step lasts as long as its slowest round
+    (barrier semantics).
 
     Contention-aware planning: with a {!Crowdmax_latency.Contention.t}
     the per-query planner evaluates L(q) under the {e other} queries'

@@ -153,4 +153,17 @@ let init pool n f =
   if n < 0 then invalid_arg "Parallel.init: negative length";
   map pool f (Array.init n (fun i -> i))
 
+let map_chunks ~jobs f xs =
+  let n = Array.length xs in
+  if jobs <= 1 || n <= 1 then f xs
+  else begin
+    (* Slice before fanning out, so each worker receives its chunk as
+       the argument of [f] instead of capturing [xs]. *)
+    let slices =
+      Array.map (fun (lo, len) -> Array.sub xs lo len) (chunk_bounds ~jobs n)
+    in
+    with_pool ~jobs:(Array.length slices) (fun pool ->
+        Array.concat (Array.to_list (map pool f slices)))
+  end
+
 let recommended_jobs () = Domain.recommended_domain_count ()

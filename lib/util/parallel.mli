@@ -43,6 +43,15 @@ val init : pool -> int -> (int -> 'a) -> 'a array
 (** [init pool n f] is [Array.init n f] with the index range fanned out
     across the pool. [f] must tolerate being called from any domain. *)
 
+val map_chunks : jobs:int -> ('a array -> 'b array) -> 'a array -> 'b array
+(** [map_chunks ~jobs f xs] splits [xs] into at most [jobs] contiguous
+    slices, applies [f] to each slice on a fresh pool (one domain per
+    slice) and concatenates the results in slice order; [jobs <= 1]
+    calls [f xs] inline. Each call of [f] owns its slice, so per-worker
+    state (scratch buffers, caches, metric registries) belongs inside
+    [f]. The result is independent of [jobs] whenever [f] maps elements
+    independently and [f a @ f b = f (a @ b)]. *)
+
 val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count ()]: a sensible default for
     [--jobs] when the user asks for "all cores". *)

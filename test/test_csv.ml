@@ -1,9 +1,7 @@
 module Csv = Crowdmax_util.Csv
-module X = Crowdmax_experiments
 
 let tc = Alcotest.test_case
 let check_str = Alcotest.check Alcotest.string
-let check_bool = Alcotest.check Alcotest.bool
 
 let test_plain_fields () =
   check_str "untouched" "abc" (Csv.escape_field "abc");
@@ -37,14 +35,6 @@ let test_write_file () =
       close_in ic;
       check_str "roundtrip" "h\nv\n" contents)
 
-let test_series_csv () =
-  let csv =
-    X.Export.series_to_csv
-      [ { X.Common.name = "tDP"; points = [ (1.0, 2.5); (2.0, 3.0) ] } ]
-  in
-  check_str "long form" "series,x,y\ntDP,1,2.5\ntDP,2,3\n" csv;
-  check_bool "header first" true (String.length csv > 0)
-
 let suite =
   [
     ( "csv",
@@ -55,6 +45,5 @@ let suite =
         tc "to_string" `Quick test_to_string;
         tc "arity checked" `Quick test_arity_checked;
         tc "write file" `Quick test_write_file;
-        tc "series csv" `Quick test_series_csv;
       ] );
   ]

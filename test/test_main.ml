@@ -16,7 +16,7 @@ let () =
    @ Test_worker_pool.suite
    @ Test_engine.suite @ Test_adaptive.suite @ Test_server.suite
    @ Test_topk.suite
-   @ Test_experiments.suite @ Test_export.suite @ Test_analysis.suite
+   @ Test_experiments.suite @ Test_analysis.suite
    @ Test_sort.suite @ Test_serialize.suite @ Test_umbrella.suite
    @ Test_integration.suite @ Test_golden.suite
    @ Test_properties.suite)

@@ -655,6 +655,211 @@ let prop_closed_loop_replicate_jobs_deterministic =
           && base.A.total_replans_on_drift = p.A.total_replans_on_drift)
         [ 2; 4 ])
 
+(* --- one set of invariants for every driver ------------------------------
+
+   Engine.run, Adaptive.run and Server.run (one query and three) on small
+   random configurations, each query checked against the same
+   invariants: questions posted within budget; the chosen element is the
+   sole survivor of the final answer DAG, or else its top-ranked
+   candidate; a trace, where there is one, has one record per round run
+   and its round latencies sum to the total latency; no NaN anywhere.
+   The final DAG is read back through a recording selector: every
+   round's input carries the query's live DAG, which the driver keeps
+   mutating until the query ends. *)
+
+type driver_case = {
+  seed : int;
+  elements : int;
+  slack : int;
+  source : int;  (** 0 oracle, 1 simulated RWL, 2 simulated worker pool *)
+  deadline : int;  (** 0 wait for all, 1 fixed, 2 quantile *)
+  straggler : int;  (** 0 drop, 1 carry forward, 2 reissue once *)
+  pad : bool;
+  selector : int;
+  uniform_rounds : int;  (** 0: the tDP plan; else a uniform split *)
+}
+
+let driver_case =
+  let open Q.Gen in
+  let gen =
+    int_range 0 100_000 >>= fun seed ->
+    int_range 2 12 >>= fun elements ->
+    int_range 0 24 >>= fun slack ->
+    int_range 0 2 >>= fun source ->
+    int_range 0 2 >>= fun deadline ->
+    int_range 0 2 >>= fun straggler ->
+    bool >>= fun pad ->
+    int_range 0 3 >>= fun selector ->
+    int_range 0 3 >>= fun uniform_rounds ->
+    return
+      {
+        seed;
+        elements;
+        slack;
+        source;
+        deadline;
+        straggler;
+        pad;
+        selector;
+        uniform_rounds;
+      }
+  in
+  Q.make gen ~print:(fun c ->
+      Printf.sprintf
+        "seed=%d c0=%d slack=%d source=%d deadline=%d straggler=%d pad=%b \
+         selector=%d uniform_rounds=%d"
+        c.seed c.elements c.slack c.source c.deadline c.straggler c.pad
+        c.selector c.uniform_rounds)
+
+(* A selector that draws exactly like [base] and remembers each query's
+   live DAG, in order of first appearance. *)
+let recording_selector base =
+  let seen = ref [] in
+  let select rng (input : S.round_input) =
+    if not (List.exists (fun d -> d == input.S.history) !seen) then
+      seen := input.S.history :: !seen;
+    base.S.select rng input
+  in
+  ({ base with S.select }, fun () -> Array.of_list (List.rev !seen))
+
+let survivor_ok dag ~chosen ~singleton =
+  match Dag.remaining_candidates dag with
+  | [ w ] -> singleton && chosen = w
+  | _ -> (
+      (not singleton)
+      && match Scoring.ranked_candidates dag with
+         | best :: _ -> chosen = best
+         | [] -> false)
+
+let engine_result_ok ~budget dag (r : E.result) =
+  let trace_latency =
+    List.fold_left (fun acc t -> acc +. t.E.round_latency) 0.0 r.E.trace
+  in
+  r.E.questions_posted <= budget
+  && survivor_ok dag ~chosen:r.E.chosen ~singleton:r.E.singleton
+  && List.length r.E.trace = r.E.rounds_run
+  && Float.equal trace_latency r.E.total_latency
+  && (not (Float.is_nan r.E.total_latency))
+  && List.for_all (fun t -> not (Float.is_nan t.E.round_latency)) r.E.trace
+
+let prop_drivers_share_invariants =
+  let module A = Crowdmax_runtime.Adaptive in
+  let module Srv = Crowdmax_server.Server in
+  let module Platform = Crowdmax_crowd.Platform in
+  Q.Test.make ~name:"engine, adaptive and server keep the query invariants"
+    ~count:150 driver_case (fun c ->
+      let latency = Model.paper_mturk in
+      let budget = c.elements - 1 + c.slack in
+      let platform = Platform.create () in
+      let rwl = { Rwl.votes = 3; error = W.Uniform 0.1 } in
+      let source =
+        match c.source with
+        | 0 -> E.Oracle
+        | 1 -> E.Simulated { platform; rwl }
+        | _ ->
+            let pool =
+              Crowdmax_crowd.Worker_pool.create (Rng.create c.seed) ~workers:12
+                ~good_fraction:0.75 ~good_accuracy:0.9 ~bad_accuracy:0.55
+            in
+            E.Simulated_pool { platform; pool; votes = 3 }
+      in
+      let deadline =
+        match c.deadline with
+        | 0 -> E.Wait_all
+        | 1 -> E.Fixed 300.0
+        | _ -> E.Quantile 0.6
+      in
+      let straggler =
+        match c.straggler with
+        | 0 -> E.Drop
+        | 1 -> E.Carry_forward
+        | _ -> E.Reissue 1
+      in
+      let base =
+        match c.selector with
+        | 0 -> S.tournament
+        | 1 -> S.spread
+        | 2 -> S.complete
+        | _ -> S.hill
+      in
+      let problem = Problem.create ~elements:c.elements ~budget ~latency in
+      let truth seed = G.random (Rng.create seed) c.elements in
+      let engine_ok =
+        let allocation =
+          if c.uniform_rounds = 0 || budget < c.uniform_rounds then
+            (Tdp.solve problem).Tdp.allocation
+          else Allocation.uniform ~total:budget ~rounds:c.uniform_rounds
+        in
+        let selection, dags = recording_selector base in
+        let cfg =
+          E.config ~source ~pad_to_round_budget:c.pad ~deadline ~straggler
+            ~allocation ~selection ~latency_model:latency ()
+        in
+        let r = E.run (Rng.create c.seed) cfg (truth c.seed) in
+        engine_result_ok ~budget:(Allocation.questions_total allocation)
+          (dags ()).(0) r
+      in
+      let adaptive_ok =
+        let selection, dags = recording_selector base in
+        let refit = if c.source = 0 then A.Off else A.On_drift 0.5 in
+        let r =
+          A.run ~source ~deadline ~refit (Rng.create c.seed) ~problem ~selection
+            (truth c.seed)
+        in
+        engine_result_ok ~budget (dags ()).(0) r.A.engine_result
+        && List.for_all
+             (fun o -> not (Float.is_nan o.Crowdmax_latency.Estimate.seconds))
+             r.A.observations
+      in
+      let server_ok nq =
+        let selection, dags = recording_selector base in
+        let specs =
+          Array.init nq (fun i ->
+              Srv.query_spec ~votes:(1 + ((c.seed + i) mod 3)) ~deadline
+                ~admit_step:((c.seed / (i + 1)) mod 3)
+                ~elements:(c.elements + i) ~budget:(budget + i) ())
+        in
+        let truths =
+          Array.init nq (fun i ->
+              G.random (Rng.create (c.seed + i)) (c.elements + i))
+        in
+        let r =
+          Srv.run ~platform ~latency ~selection (Rng.create c.seed) specs truths
+        in
+        (* Queries first post, and so first meet the selector, in
+           admission order, spec order within a step. *)
+        let order =
+          List.stable_sort
+            (fun i j ->
+              Int.compare specs.(i).Srv.admit_step specs.(j).Srv.admit_step)
+            (List.init nq Fun.id)
+        in
+        let dags = dags () in
+        let fleet_finite =
+          List.for_all
+            (fun x -> not (Float.is_nan x))
+            [
+              r.Srv.makespan;
+              r.Srv.fleet_mean_latency;
+              r.Srv.throughput;
+              r.Srv.fairness;
+            ]
+        in
+        fleet_finite
+        && Array.length dags = nq
+        && List.for_all2
+             (fun i dag ->
+               let q = r.Srv.queries.(i) in
+               q.Srv.questions <= specs.(i).Srv.budget
+               && survivor_ok dag ~chosen:q.Srv.chosen
+                    ~singleton:q.Srv.singleton
+               && List.for_all
+                    (fun x -> not (Float.is_nan x))
+                    [ q.Srv.latency; q.Srv.sojourn; q.Srv.admitted_at ])
+             order (Array.to_list dags)
+      in
+      engine_ok && adaptive_ok && server_ok 1 && server_ok 3)
+
 let suite =
   [
     ( "properties",
@@ -687,5 +892,6 @@ let suite =
           prop_metrics_deterministic;
           prop_fit_recovers_model;
           prop_closed_loop_replicate_jobs_deterministic;
+          prop_drivers_share_invariants;
         ] );
   ]

@@ -1,17 +1,17 @@
 (* R5 — domain-safety escape analysis for the Parallel worker pool.
 
-   [Crowdmax_util.Parallel.map]/[Parallel.init] run their function
-   argument on every domain of the pool concurrently. A mutable value
-   created *outside* that closure and captured by it is therefore
-   shared mutable state across domains — the race the repo's
-   determinism guarantee cannot survive. This pass finds each
-   [Parallel.map]/[Parallel.init] application, resolves its
-   function-typed argument (a literal [fun] or a let-bound function in
-   the same module, chased through the module's binding map), computes
-   the free variables of the closure body, and flags every captured
-   binding whose type denotes mutable storage ([ref], [array],
-   [Hashtbl.t], [Buffer.t], [Queue.t], records with mutable fields —
-   the [Type_safety.mutable_verdict] lattice).
+   [Crowdmax_util.Parallel.map]/[Parallel.init]/[Parallel.map_chunks]
+   run their function argument on every domain of the pool
+   concurrently. A mutable value created *outside* that closure and
+   captured by it is therefore shared mutable state across domains —
+   the race the repo's determinism guarantee cannot survive. This pass
+   finds each such application, resolves its function-typed argument
+   (a literal [fun] or a let-bound function in the same module, chased
+   through the module's binding map), computes the free variables of
+   the closure body, and flags every captured binding whose type
+   denotes mutable storage ([ref], [array], [Hashtbl.t], [Buffer.t],
+   [Queue.t], records with mutable fields — the
+   [Type_safety.mutable_verdict] lattice).
 
    Not flagged:
    - bindings created inside the closure (domain-local by construction);
@@ -33,7 +33,7 @@ type ctx = {
   modname : string;
 }
 
-let worker_entries = [ "Parallel.map"; "Parallel.init" ]
+let worker_entries = [ "Parallel.map"; "Parallel.init"; "Parallel.map_chunks" ]
 
 (* --- module-wide prepasses ---------------------------------------------- *)
 
