@@ -25,25 +25,13 @@ lint:
 # The CI gate: warnings-as-errors build (the ci dune profile promotes
 # the lib/ warning set to errors), the whole test suite, the lint gate,
 # a metrics round-trip smoke (a simulated run dumps --metrics JSON,
-# metrics-check must accept it — exercises the full
-# planner/engine/platform document, not just the library tests), and a
-# smoke-scale pass through the bechamel harness so the bench executable
-# stays runnable. The engine-opcheck pass pins the simulated event
-# loop's deterministic operation counts (events drained, arrivals,
-# completions at a fixed seed) and fails on any drift; planner-opcheck
-# does the same for the tDP planner's DP counters (states settled, memo
-# hits/misses, pruned branches, plan-cache reuse), adaptive-opcheck for
-# the closed loop's re-fit counters, and server-opcheck for the shared-
-# marketplace query server's fleet counters (admissions, rounds,
-# re-plans, deadline hits, shared-mode discards) plus its any-jobs
-# bit-identity; history-check
-# recomputes the same counters and fails on >2% drift against the last
-# counters-bearing BENCH_history.jsonl row, catching cross-PR work-
-# profile regressions even when the in-repo pins were regenerated
-# (CROWDMAX_BENCH_BASELINE=skip disables it, =<commit-prefix> pins the
-# comparison row); the engine-throughput pass prints
-# current-vs-committed runs/sec (informational, never failing) without
-# touching BENCH_engine.json or BENCH_history.jsonl.
+# metrics-check must accept it), and a smoke-scale pass through the
+# bechamel harness so the bench executable stays runnable. opcheck runs
+# the engine, planner, adaptive and server scenarios once and fails on
+# any drift from their pinned operation counts, on a broken structural
+# check, or on >2% drift from the last counters-bearing
+# BENCH_history.jsonl row (bench/main.ml, DESIGN.md §7). The engine
+# throughput pass is informational and writes no file.
 ci:
 	dune build @all --profile ci
 	dune build @all
@@ -54,11 +42,7 @@ ci:
 	dune exec bin/crowdmax_cli.exe -- metrics-check _build/ci_metrics_smoke.json
 	rm -f _build/ci_metrics_smoke.json
 	CROWDMAX_BENCH_RUNS=2 dune exec bench/main.exe -- micro
-	dune exec bench/main.exe -- engine-opcheck
-	dune exec bench/main.exe -- planner-opcheck
-	dune exec bench/main.exe -- adaptive-opcheck
-	dune exec bench/main.exe -- server-opcheck
-	dune exec bench/main.exe -- history-check
+	dune exec bench/main.exe -- opcheck
 	dune exec bin/crowdmax_cli.exe -- run --elements 60 --budget 200 \
 		--runs 2 --simulated --adaptive --refit drift:0.5
 	dune exec bin/crowdmax_cli.exe -- experiment fig_adapt --runs 6 -j 4

@@ -71,6 +71,14 @@ let section title =
 
 let model = Model.paper_mturk
 
+(* An engine config running the tDP allocation of (c0, b) under
+   [model], tournament selection unless told otherwise. *)
+let tdp_config ?source ?deadline ?straggler ?(selection = Selection.tournament)
+    c0 b =
+  let sol = Tdp.solve (Problem.create ~elements:c0 ~budget:b ~latency:model) in
+  Engine.config ?source ?deadline ?straggler ~allocation:sol.Tdp.allocation
+    ~selection ~latency_model:model ()
+
 (* --- paper figures ------------------------------------------------------ *)
 
 let fig11a () =
@@ -131,12 +139,10 @@ let ablation_adaptive () =
   List.iter
     (fun (c0, b) ->
       let problem = Problem.create ~elements:c0 ~budget:b ~latency:model in
-      let static = Tdp.solve problem in
-      let cfg =
-        Engine.config ~allocation:static.Tdp.allocation
-          ~selection:Selection.tournament ~latency_model:model ()
+      let st =
+        Engine.replicate ~jobs:!jobs ~runs ~seed:3 (tdp_config c0 b)
+          ~elements:c0
       in
-      let st = Engine.replicate ~jobs:!jobs ~runs ~seed:3 cfg ~elements:c0 in
       let ad =
         Crowdmax_runtime.Adaptive.replicate ~jobs:!jobs ~runs ~seed:3 ~problem
           ~selection:Selection.tournament ()
@@ -162,7 +168,6 @@ let ablation_adaptive () =
 let ablation_ct_split () =
   section "Ablation - CT split point (CT25/CT50/CT75, SG25) under tDP";
   let c0 = 500 and b = 4000 in
-  let sol = Tdp.solve (Problem.create ~elements:c0 ~budget:b ~latency:model) in
   let table =
     Crowdmax_util.Table.create
       [ ("selector", Crowdmax_util.Table.Left);
@@ -172,11 +177,11 @@ let ablation_ct_split () =
   in
   List.iter
     (fun sel ->
-      let cfg =
-        Engine.config ~allocation:sol.Tdp.allocation ~selection:sel
-          ~latency_model:model ()
+      let agg =
+        Engine.replicate ~jobs:!jobs ~runs ~seed:7
+          (tdp_config ~selection:sel c0 b)
+          ~elements:c0
       in
-      let agg = Engine.replicate ~jobs:!jobs ~runs ~seed:7 cfg ~elements:c0 in
       Crowdmax_util.Table.add_row table
         [
           sel.Selection.name;
@@ -195,7 +200,6 @@ let ablation_ct_split () =
 let ablation_rwl () =
   section "Ablation - RWL repetition factor (15% worker error, c0=100)";
   let c0 = 100 and b = 800 in
-  let sol = Tdp.solve (Problem.create ~elements:c0 ~budget:b ~latency:model) in
   let platform = Crowdmax_crowd.Platform.create () in
   let table =
     Crowdmax_util.Table.create
@@ -206,12 +210,10 @@ let ablation_rwl () =
   List.iter
     (fun votes ->
       let cfg =
-        Engine.config
+        tdp_config c0 b
           ~source:
             (Engine.Simulated
                { platform; rwl = { Rwl.votes; error = W.Uniform 0.15 } })
-          ~allocation:sol.Tdp.allocation ~selection:Selection.tournament
-          ~latency_model:model ()
       in
       let agg = Engine.replicate ~jobs:!jobs ~runs ~seed:11 cfg ~elements:c0 in
       Crowdmax_util.Table.add_row table
@@ -254,14 +256,7 @@ let extension_topk () =
         if r.Crowdmax_topk.Topk.exact then incr exact;
         (* naive: k independent MAX runs over shrinking budgets *)
         for pass = 0 to k - 1 do
-          let sub =
-            Problem.create ~elements:(c0 - pass) ~budget:(b / k) ~latency:model
-          in
-          let sol = Tdp.solve sub in
-          let cfg =
-            Engine.config ~allocation:sol.Tdp.allocation
-              ~selection:Selection.tournament ~latency_model:model ()
-          in
+          let cfg = tdp_config (c0 - pass) (b / k) in
           let t = G.random rng (c0 - pass) in
           let res = Engine.run rng cfg t in
           naive_lat := !naive_lat +. res.Engine.total_latency
@@ -442,53 +437,32 @@ type engine_bench_row = {
 }
 
 (* The canonical simulated bench config for [n] elements: budget 8n,
-   tDP allocation, tournament selection, 3-vote RWL at 15% worker
-   error. Shared between the throughput rows and the operation-count
-   gate below, so the gate pins exactly the work the bench times. *)
-let engine_sim_config n =
-  let b = 8 * n in
-  let sol = Tdp.solve (Problem.create ~elements:n ~budget:b ~latency:model) in
-  Engine.config
+   3-vote RWL at 15% worker error. Shared between the throughput rows
+   and the operation-count gate below, so the gate pins exactly the work
+   the bench times. *)
+let engine_sim_config ?deadline ?straggler n =
+  tdp_config ?deadline ?straggler n (8 * n)
     ~source:
       (Engine.Simulated
          {
            platform = Crowdmax_crowd.Platform.create ();
            rwl = { Rwl.votes = 3; error = W.Uniform 0.15 };
          })
-    ~allocation:sol.Tdp.allocation ~selection:Selection.tournament
-    ~latency_model:model ()
 
 let engine_bench_cases () =
-  let module P = Crowdmax_crowd.Platform in
   List.concat_map
     (fun n ->
-      let b = 8 * n in
-      let sol = Tdp.solve (Problem.create ~elements:n ~budget:b ~latency:model) in
-      let oracle =
-        Engine.config ~allocation:sol.Tdp.allocation
-          ~selection:Selection.tournament ~latency_model:model ()
-      in
-      let simulated = engine_sim_config n in
-      (* the finite-deadline path adds per-round bookkeeping (pending
-         queue, partial consensus); a cut-off Fixed deadline with
-         carry-forward exercises all of it, and doubles as the CI smoke
-         for deadline-bounded rounds *)
-      let deadlined =
-        Engine.config
-          ~source:
-            (Engine.Simulated
-               {
-                 platform = P.create ();
-                 rwl = { Rwl.votes = 3; error = W.Uniform 0.15 };
-               })
-          ~deadline:(Engine.Fixed 200.0) ~straggler:Engine.Carry_forward
-          ~allocation:sol.Tdp.allocation ~selection:Selection.tournament
-          ~latency_model:model ()
-      in
       [
-        (n, "oracle", oracle);
-        (n, "simulated", simulated);
-        (n, "simulated+deadline", deadlined);
+        (n, "oracle", tdp_config n (8 * n));
+        (n, "simulated", engine_sim_config n);
+        (* the finite-deadline path adds per-round bookkeeping (pending
+           queue, partial consensus); a cut-off Fixed deadline with
+           carry-forward exercises all of it, and doubles as the CI smoke
+           for deadline-bounded rounds *)
+        ( n,
+          "simulated+deadline",
+          engine_sim_config n ~deadline:(Engine.Fixed 200.0)
+            ~straggler:Engine.Carry_forward );
       ])
     [ 50; 100; 500 ]
 
@@ -500,43 +474,52 @@ let engine_bench_cases () =
    windows. *)
 let engine_bench_windows = 3
 
-let engine_bench_measure (n, source, cfg) =
-  let master = Rng.create 99 in
+(* Best-of-windows calls/sec of [f], each window at least [min_calls]
+   calls long, and the total calls over all windows. *)
+let best_rate ?(min_calls = 1) f =
   let window_secs = engine_bench_secs /. float_of_int engine_bench_windows in
-  let total_runs = ref 0 in
-  let best_rps = ref 0.0 in
-  let t0 = Unix.gettimeofday () in
-  (* [Engine.runner] is the replication-loop entry point: identical
-     draws and results to [Engine.run], with policy validation,
-     instrument registration and simulation scratch hoisted out of the
-     measured loop — the same shape [Engine.replicate] runs per worker. *)
-  let run = Engine.runner cfg in
+  let best = ref 0.0 in
+  let total = ref 0 in
   for _ = 1 to engine_bench_windows do
     let w0 = Unix.gettimeofday () in
     let deadline = w0 +. window_secs in
     let count = ref 0 in
     let continue_ = ref true in
     while !continue_ do
-      let rng = Rng.split master in
-      let truth = G.random rng n in
-      ignore (run rng truth);
+      f ();
       incr count;
-      if !count >= 3 && Unix.gettimeofday () >= deadline then
+      if !count >= min_calls && Unix.gettimeofday () >= deadline then
         continue_ := false
     done;
-    let wall = Unix.gettimeofday () -. w0 in
-    let rps = float_of_int !count /. Float.max wall 1e-9 in
-    total_runs := !total_runs + !count;
-    if rps > !best_rps then best_rps := rps
+    let rate =
+      float_of_int !count /. Float.max (Unix.gettimeofday () -. w0) 1e-9
+    in
+    total := !total + !count;
+    if rate > !best then best := rate
   done;
-  let wall = Unix.gettimeofday () -. t0 in
+  (!best, !total)
+
+let engine_bench_measure (n, source, cfg) =
+  let master = Rng.create 99 in
+  let t0 = Unix.gettimeofday () in
+  (* [Engine.runner] is the replication-loop entry point: identical
+     draws and results to [Engine.run], with policy validation,
+     instrument registration and simulation scratch hoisted out of the
+     measured loop — the same shape [Engine.replicate] runs per worker. *)
+  let run = Engine.runner cfg in
+  let rps, runs =
+    best_rate ~min_calls:3 (fun () ->
+        let rng = Rng.split master in
+        let truth = G.random rng n in
+        ignore (run rng truth))
+  in
   {
     eb_n = n;
     eb_source = source;
     eb_selector = "Tournament";
-    eb_runs = !total_runs;
-    eb_wall = wall;
-    eb_rps = !best_rps;
+    eb_runs = runs;
+    eb_wall = Unix.gettimeofday () -. t0;
+    eb_rps = rps;
   }
 
 (* Observability-layer overhead on the hot path: [Engine.replicate]
@@ -563,12 +546,7 @@ type metrics_overhead = {
 
 let engine_metrics_overhead () =
   let n = 100 in
-  let b = 8 * n in
-  let sol = Tdp.solve (Problem.create ~elements:n ~budget:b ~latency:model) in
-  let cfg =
-    Engine.config ~allocation:sol.Tdp.allocation ~selection:Selection.tournament
-      ~latency_model:model ()
-  in
+  let cfg = tdp_config n (8 * n) in
   let block = 200 in
   let timed f =
     let t0 = Unix.gettimeofday () in
@@ -632,34 +610,13 @@ type planner_bench = {
   pl_sweep_hashtbl_rps : float; (* independent hashtbl sweeps/sec *)
 }
 
-(* Same best-of-windows discipline as the engine rows. *)
-let planner_rate f =
-  let window_secs = engine_bench_secs /. float_of_int engine_bench_windows in
-  let best = ref 0.0 in
-  for _ = 1 to engine_bench_windows do
-    let w0 = Unix.gettimeofday () in
-    let deadline = w0 +. window_secs in
-    let count = ref 0 in
-    let continue_ = ref true in
-    while !continue_ do
-      f ();
-      incr count;
-      if Unix.gettimeofday () >= deadline then continue_ := false
-    done;
-    let rate =
-      float_of_int !count /. Float.max (Unix.gettimeofday () -. w0) 1e-9
-    in
-    if rate > !best then best := rate
-  done;
-  !best
-
 let planner_bench () =
   let c0 = 1000 and budget = 8000 in
   let problem = Problem.create ~elements:c0 ~budget ~latency:model in
   let states = (Tdp.solve problem).Tdp.states_visited in
-  let flat_rps = planner_rate (fun () -> ignore (Tdp.solve problem)) in
+  let flat_rps = fst (best_rate (fun () -> ignore (Tdp.solve problem))) in
   let hashtbl_rps =
-    planner_rate (fun () -> ignore (Tdp.solve_hashtbl problem))
+    fst (best_rate (fun () -> ignore (Tdp.solve_hashtbl problem)))
   in
   (* The Fig. 15 workload: a 20-point budget grid spanning multiples
      2x..16x of the collection size. One incremental pass over the grid
@@ -683,12 +640,12 @@ let planner_bench () =
   let prime_secs = Unix.gettimeofday () -. t0 in
   let prime_states = Tdp.Cache.states_settled cache in
   let sweep_rps =
-    planner_rate (fun () ->
-        List.iter (fun p -> ignore (Tdp.solve ~cache p)) sweep_problems)
+    fst (best_rate (fun () ->
+        List.iter (fun p -> ignore (Tdp.solve ~cache p)) sweep_problems))
   in
   let sweep_hashtbl_rps =
-    planner_rate (fun () ->
-        List.iter (fun p -> ignore (Tdp.solve_hashtbl p)) sweep_problems)
+    fst (best_rate (fun () ->
+        List.iter (fun p -> ignore (Tdp.solve_hashtbl p)) sweep_problems))
   in
   {
     pl_c0 = c0;
@@ -705,8 +662,9 @@ let planner_bench () =
     pl_sweep_hashtbl_rps = sweep_hashtbl_rps;
   }
 
+module J = Crowdmax_util.Json
+
 let planner_json p =
-  let module J = Crowdmax_util.Json in
   let ratio a b = if b > 0.0 then a /. b else 0.0 in
   J.Obj
     [
@@ -729,7 +687,6 @@ let planner_json p =
     ]
 
 let engine_row_json r =
-  let module J = Crowdmax_util.Json in
   J.Obj
     [
       ("n", J.int r.eb_n);
@@ -741,7 +698,6 @@ let engine_row_json r =
     ]
 
 let engine_bench_json rows overhead planner =
-  let module J = Crowdmax_util.Json in
   J.Obj
     [
       ("schema", J.String "crowdmax-bench-engine/v1");
@@ -772,45 +728,65 @@ let engine_bench_json rows overhead planner =
    the code that produced them. *)
 let bench_history_file = "BENCH_history.jsonl"
 
-let git_commit () =
+(* Standard output of [git args], or [None] when git fails (no git, or
+   not a work tree). *)
+let git args =
   try
-    let ic = Unix.open_process_in "git rev-parse --short=12 HEAD 2>/dev/null" in
-    let line = try String.trim (input_line ic) with End_of_file -> "" in
+    let ic = Unix.open_process_in ("git " ^ args ^ " 2>/dev/null") in
+    let out = In_channel.input_all ic in
     match Unix.close_process_in ic with
-    | Unix.WEXITED 0 when not (String.equal line "") -> line
-    | _ -> "unknown"
-  with _ -> "unknown"
+    | Unix.WEXITED 0 -> Some out
+    | _ -> None
+  with _ -> None
 
-let bench_history_json ~commit rows overhead planner =
-  let module J = Crowdmax_util.Json in
-  J.Obj
-    [
-      ("schema", J.String "crowdmax-bench-history/v1");
-      ("commit", J.String commit);
-      ("unix_time", J.Float (Unix.time ()));
-      ("build_profile", J.String Build_profile.value);
-      ("engine", J.List (List.map engine_row_json rows));
-      ("planner", planner_json planner);
-      ("metrics_overhead_pct", J.Float overhead.mo_overhead_pct);
-    ]
+let git_commit () =
+  match Option.map String.trim (git "rev-parse --short=12 HEAD") with
+  | Some commit when not (String.equal commit "") -> commit
+  | _ -> "unknown"
 
-let append_bench_history doc =
+(* A row is keyed to HEAD, so it may only measure HEAD: refuse to
+   append while the work tree differs from HEAD in anything but the two
+   bench output files. *)
+let require_clean_tree () =
+  match
+    git
+      (Printf.sprintf "status --porcelain -- . ':!%s' ':!%s'"
+         bench_history_file engine_bench_file)
+  with
+  | Some dirty when not (String.equal dirty "") ->
+      Printf.eprintf
+        "bench: refusing to append to %s; commit first, so the row names \
+         the tree it measured. The work tree differs from HEAD in:\n%s"
+        bench_history_file dirty;
+      exit 2
+  | _ -> ()
+
+(* Append one row keyed to HEAD: the [schema], commit, time and build
+   profile, then [fields]. *)
+let append_bench_history ~schema fields =
+  let commit = git_commit () in
+  let row =
+    J.Obj
+      (("schema", J.String schema)
+      :: ("commit", J.String commit)
+      :: ("unix_time", J.Float (Unix.time ()))
+      :: ("build_profile", J.String Build_profile.value)
+      :: fields)
+  in
   let oc =
     open_out_gen [ Open_append; Open_creat ] 0o644 bench_history_file
   in
-  output_string oc (Crowdmax_util.Json.to_string doc);
+  output_string oc (J.to_string row);
   output_char oc '\n';
-  close_out oc
+  close_out oc;
+  Printf.printf "appended a %s row for commit %s to %s\n%!" schema commit
+    bench_history_file
 
 (* The committed baseline, as (n, source, selector) -> runs/sec. *)
 let engine_bench_baseline () =
-  let module J = Crowdmax_util.Json in
   if not (Sys.file_exists engine_bench_file) then []
   else
-    let ic = open_in engine_bench_file in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
+    let s = In_channel.with_open_text engine_bench_file In_channel.input_all in
     match J.member "results" (J.of_string s) with
     | Some (J.List rows) ->
         List.filter_map
@@ -832,6 +808,7 @@ let engine_bench () =
      measurement. A larger minor heap makes the numbers about the engine,
      not the collector's default tuning. *)
   Gc.set { (Gc.get ()) with Gc.minor_heap_size = 4 * 1024 * 1024 };
+  if engine_bench_write then require_clean_tree ();
   section
     (Printf.sprintf
        "engine throughput (runs/sec, best of %d windows, >= %.2f s per case, \
@@ -919,14 +896,17 @@ let engine_bench () =
   if engine_bench_write then begin
     let oc = open_out engine_bench_file in
     output_string oc
-      (Crowdmax_util.Json.to_string ~pretty:true
+      (J.to_string ~pretty:true
          (engine_bench_json rows overhead planner));
     output_char oc '\n';
     close_out oc;
     Printf.printf "wrote %s\n%!" engine_bench_file;
-    let commit = git_commit () in
-    append_bench_history (bench_history_json ~commit rows overhead planner);
-    Printf.printf "appended commit %s to %s\n%!" commit bench_history_file
+    append_bench_history ~schema:"crowdmax-bench-history/v1"
+      [
+        ("engine", J.List (List.map engine_row_json rows));
+        ("planner", planner_json planner);
+        ("metrics_overhead_pct", J.Float overhead.mo_overhead_pct);
+      ]
   end
   else
     Printf.printf "(CROWDMAX_ENGINE_BENCH_WRITE=0: %s and %s left untouched)\n%!"
@@ -934,722 +914,449 @@ let engine_bench () =
 
 (* --- deterministic operation-count gate ---------------------------------- *)
 
-(* Platform counters record only simulated quantities, so for a fixed
-   (n, seed, runs) they are bit-deterministic: same totals on any
-   machine, any [jobs], metrics on or off. Pinning them turns "the
-   event loop still does exactly this work" into a CI failure instead
-   of a silent drift — an accounting change that survives the
-   statistical goldens, or an optimization that quietly skips or
-   duplicates events, both land here with the counter named. The
-   [events_drained = worker_arrivals + completions] identity (the
-   Platform.simulate contract) is checked independently of the pins.
-   After an intentional semantic change, regenerate the table with
-   CROWDMAX_OPCHECK_PRINT=1. *)
-let engine_opcheck_runs = 5
-let engine_opcheck_seed = 99
+(* The simulated platform, the tDP planner, the adaptive loop and the
+   query server count their work in simulated quantities only, so for a
+   fixed scenario their counters are bit-deterministic: the same totals
+   on any machine, at any [jobs], with metrics on or off. [opcheck] runs
+   each scenario of [opcheck_scenarios] once and fails, naming the
+   counter or check, when
 
-let engine_opcheck_expected =
-  (* n, events_drained, worker_arrivals, completions *)
-  [ (100, 6617, 902, 5715); (500, 60795, 8670, 52125) ]
+   - a counter differs from its pin in [opcheck_pins], a pinned counter
+     is missing from its scenario's run, or a counted one is not pinned;
+   - one of a scenario's structural checks does not hold;
+   - a counter drifts by more than [history_drift_pct] from the newest
+     counters-bearing row of BENCH_history.jsonl. Because the counters
+     are deterministic, any drift is a real behavior change; this
+     comparison catches a work-profile change across commits even when
+     the pins were regenerated with it, and the 2% headroom only
+     tolerates deliberate, reviewed bookkeeping tweaks.
 
-let engine_opcheck () =
-  section
-    (Printf.sprintf "engine operation-count gate (simulated, %d runs, seed %d)"
-       engine_opcheck_runs engine_opcheck_seed);
-  let print_mode = Option.is_some (Sys.getenv_opt "CROWDMAX_OPCHECK_PRINT") in
-  let failures = ref 0 in
-  let count snap name =
-    match Metrics.find snap ~section:"platform" name with
-    | Some (Metrics.Count c) -> c
-    | _ ->
-        Printf.printf "  platform/%s missing from snapshot\n" name;
-        incr failures;
-        -1
+   [history-append] appends the same counters as a new history row.
+   After an intentional change, CROWDMAX_OPCHECK_PRINT=1 prints the
+   measured counters as [opcheck_pins] source instead of checking.
+
+   CROWDMAX_BENCH_BASELINE overrides the history baseline:
+     CROWDMAX_BENCH_BASELINE=skip          skip the comparison (prints a note)
+     CROWDMAX_BENCH_BASELINE=<commit-pfx>  compare against the newest
+                                           counters row whose commit
+                                           starts with that prefix *)
+
+(* What one scenario run measured: its counters, keyed as in
+   BENCH_history.jsonl, and its structural checks, each named with
+   whether it held. A counter the run's snapshot lacks is absent. *)
+type measured = {
+  counters : (string * int) list;
+  checks : (string * bool) list;
+}
+
+(* The [names] counters of [section] that [snap] holds, keyed [key name]. *)
+let snapshot_counters snap ~section ~key names =
+  List.filter_map
+    (fun name ->
+      match Metrics.find snap ~section name with
+      | Some (Metrics.Count c) -> Some (key name, c)
+      | _ -> None)
+    names
+
+(* [key]'s value in [counters], if the run counted it. *)
+let find_counter counters key =
+  Option.map snd (List.find_opt (fun (k, _) -> String.equal k key) counters)
+
+(* The simulated event loop: 5 runs of the canonical bench config at
+   seed 99. Every event drained is an arrival or a completion (the
+   Platform.simulate contract). *)
+let opcheck_engine n =
+  let _agg, snap =
+    Engine.replicate_with_metrics ~runs:5 ~seed:99 (engine_sim_config n)
+      ~elements:n
   in
-  List.iter
-    (fun (n, exp_events, exp_arrivals, exp_completions) ->
-      let cfg = engine_sim_config n in
-      let _agg, snap =
-        Engine.replicate_with_metrics ~runs:engine_opcheck_runs
-          ~seed:engine_opcheck_seed cfg ~elements:n
-      in
-      let events = count snap "events_drained" in
-      let arrivals = count snap "worker_arrivals" in
-      let completions = count snap "completions" in
-      if print_mode then
-        Printf.printf "    (%d, %d, %d, %d);\n%!" n events arrivals completions
-      else begin
-        let check name got expected =
-          if got <> expected then begin
-            Printf.printf "  n=%d platform/%s = %d, pinned %d\n" n name got
-              expected;
-            incr failures
-          end
-        in
-        check "events_drained" events exp_events;
-        check "worker_arrivals" arrivals exp_arrivals;
-        check "completions" completions exp_completions;
-        if events <> arrivals + completions then begin
-          Printf.printf
-            "  n=%d events_drained %d <> worker_arrivals %d + completions %d\n"
-            n events arrivals completions;
-          incr failures
-        end;
-        if !failures = 0 then
-          Printf.printf
-            "  n=%d ok: events_drained %d = %d arrivals + %d completions\n" n
-            events arrivals completions
-      end)
-    engine_opcheck_expected;
-  if !failures > 0 then begin
-    Printf.printf "operation-count gate FAILED (%d mismatches)\n%!" !failures;
-    exit 1
-  end
-
-(* --- planner operation-count gate ---------------------------------------- *)
+  let key = Printf.sprintf "engine.n=%d.%s" n in
+  let counters =
+    snapshot_counters snap ~section:"platform" ~key
+      [ "events_drained"; "worker_arrivals"; "completions" ]
+  in
+  let get name = find_counter counters (key name) in
+  {
+    counters;
+    checks =
+      [
+        ( key "events_drained = worker_arrivals + completions",
+          match
+            (get "events_drained", get "worker_arrivals", get "completions")
+          with
+          | Some events, Some arrivals, Some completions ->
+              events = arrivals + completions
+          | _ -> false );
+      ];
+  }
 
 (* The tDP planner is pure integer/float arithmetic over a fixed scan
-   order, so its counters are bit-deterministic on any machine and
-   build. Pinning them turns an accidental change to the DP scan order,
-   the upper-bound pruning, or the memoization policy into a named CI
-   failure; the cached-sweep scenario additionally pins the cross-solve
-   cache protocol — how many solves reuse the tables and that warm
-   re-solves settle zero new states. Regenerate the tables with
-   CROWDMAX_OPCHECK_PRINT=1 after an intentional planner change. *)
+   order, so these pin the DP scan order, the upper-bound pruning and
+   the memoization policy. *)
+let planner_counters =
+  [ "states_visited"; "memo_hits"; "memo_misses"; "ub_pruned_branches" ]
 
-let planner_opcheck_cold_expected =
-  (* c0, b, states_visited, memo_hits, memo_misses, ub_pruned_branches *)
-  [
-    (40, 108, 2, 1, 2, 32);
-    (200, 1600, 2, 1, 2, 178);
-    (500, 999, 44887, 1490593, 44887, 2046204);
-    (500, 4000, 6, 1, 6, 541);
-  ]
-
-(* c0=300: first budget is binding (c0*2 - 1), the middle ones span the
-   clamp boundary, and the last repeats an earlier budget so the final
-   solve is a pure arena replay. *)
-let planner_opcheck_sweep_c0 = 300
-let planner_opcheck_sweep_budgets = [ 599; 1200; 2400; 4800; 1200 ]
-
-let planner_opcheck_sweep_expected =
-  (* states_visited, memo_hits, memo_misses, ub_pruned_branches,
-     plan_cache_hits, plan_cache_misses — totals over the sweep *)
-  (18939, 422884, 18939, 501583, 4, 1)
-
-let planner_opcheck () =
-  section "planner operation-count gate (deterministic DP counters)";
-  let print_mode = Option.is_some (Sys.getenv_opt "CROWDMAX_OPCHECK_PRINT") in
-  let failures = ref 0 in
-  let count snap name =
-    match Metrics.find snap ~section:"planner" name with
-    | Some (Metrics.Count c) -> c
-    | _ ->
-        Printf.printf "  planner/%s missing from snapshot\n" name;
-        incr failures;
-        -1
+(* One cold solve; its own accounting must agree with the counter. *)
+let opcheck_planner_cold (c0, b) =
+  let metrics = Metrics.create () in
+  let sol =
+    Tdp.solve ~metrics (Problem.create ~elements:c0 ~budget:b ~latency:model)
   in
-  let check label name got expected =
-    if got <> expected then begin
-      Printf.printf "  %s planner/%s = %d, pinned %d\n" label name got expected;
-      incr failures
-    end
+  let key = Printf.sprintf "planner.cold.c0=%d.b=%d.%s" c0 b in
+  let counters =
+    snapshot_counters (Metrics.snapshot metrics) ~section:"planner" ~key
+      planner_counters
   in
-  List.iter
-    (fun (c0, b, exp_states, exp_hits, exp_misses, exp_pruned) ->
-      let metrics = Metrics.create () in
-      let sol =
-        Tdp.solve ~metrics (Problem.create ~elements:c0 ~budget:b ~latency:model)
-      in
-      let snap = Metrics.snapshot metrics in
-      let states = count snap "states_visited" in
-      let hits = count snap "memo_hits" in
-      let misses = count snap "memo_misses" in
-      let pruned = count snap "ub_pruned_branches" in
-      if print_mode then
-        Printf.printf "    (%d, %d, %d, %d, %d, %d);\n%!" c0 b states hits
-          misses pruned
-      else begin
-        let label = Printf.sprintf "cold c0=%d b=%d" c0 b in
-        check label "states_visited" states exp_states;
-        check label "memo_hits" hits exp_hits;
-        check label "memo_misses" misses exp_misses;
-        check label "ub_pruned_branches" pruned exp_pruned;
-        (* the solve's own accounting must agree with the counter *)
-        check label "states_visited(sol)" sol.Tdp.states_visited exp_states;
-        if !failures = 0 then
-          Printf.printf "  %s ok: %d states, %d hits, %d misses, %d pruned\n"
-            label states hits misses pruned
-      end)
-    planner_opcheck_cold_expected;
-  (* cached sweep: one cache and one metrics registry across all solves *)
+  {
+    counters;
+    checks =
+      [
+        ( key "states_visited = sol.states_visited",
+          Option.equal Int.equal
+            (find_counter counters (key "states_visited"))
+            (Some sol.Tdp.states_visited) );
+      ];
+  }
+
+(* The cross-solve cache protocol: one cache and one registry across a
+   c0=300 budget sweep. The first budget is binding (c0*2 - 1), the
+   middle ones span the clamp boundary, and the last repeats an earlier
+   budget, so the final solve is a pure arena replay. *)
+let opcheck_planner_sweep () =
   let metrics = Metrics.create () in
   let cache = Tdp.Cache.create () in
-  let last_states = ref (-1) in
-  List.iter
-    (fun b ->
-      let sol =
-        Tdp.solve ~metrics ~cache
-          (Problem.create ~elements:planner_opcheck_sweep_c0 ~budget:b
-             ~latency:model)
-      in
-      last_states := sol.Tdp.states_visited)
-    planner_opcheck_sweep_budgets;
-  let snap = Metrics.snapshot metrics in
-  let states = count snap "states_visited" in
-  let hits = count snap "memo_hits" in
-  let misses = count snap "memo_misses" in
-  let pruned = count snap "ub_pruned_branches" in
-  let c_hits = count snap "plan_cache_hits" in
-  let c_misses = count snap "plan_cache_misses" in
-  if print_mode then
-    Printf.printf "  sweep: (%d, %d, %d, %d, %d, %d)\n%!" states hits misses
-      pruned c_hits c_misses
-  else begin
-    let exp_states, exp_hits, exp_misses, exp_pruned, exp_chits, exp_cmisses =
-      planner_opcheck_sweep_expected
-    in
-    let label =
-      Printf.sprintf "sweep c0=%d (%d budgets)" planner_opcheck_sweep_c0
-        (List.length planner_opcheck_sweep_budgets)
-    in
-    check label "states_visited" states exp_states;
-    check label "memo_hits" hits exp_hits;
-    check label "memo_misses" misses exp_misses;
-    check label "ub_pruned_branches" pruned exp_pruned;
-    check label "plan_cache_hits" c_hits exp_chits;
-    check label "plan_cache_misses" c_misses exp_cmisses;
-    (* the final solve repeats an earlier budget: pure replay *)
-    check label "replayed_solve_new_states" !last_states 0;
-    if !failures = 0 then
-      Printf.printf
-        "  %s ok: %d states, %d hits, %d misses, %d pruned, %d/%d cache \
-         hits/misses\n"
-        label states hits misses pruned c_hits c_misses
-  end;
-  if !failures > 0 then begin
-    Printf.printf "planner operation-count gate FAILED (%d mismatches)\n%!"
-      !failures;
-    exit 1
-  end
-
-(* --- adaptive closed-loop operation-count gate ---------------------------- *)
-
-(* The closed loop's counters (replans, refits, drift detections,
-   drift-triggered replans) are pure simulated bookkeeping, so for a
-   fixed (problem, seed, runs, shift) they are bit-deterministic like
-   the platform and planner counters above. Pinning them catches a
-   detector or re-fit policy change that slips past the statistical
-   goldens — a drift threshold applied to the wrong quantity, a window
-   that stops clearing, a re-fit that silently stops installing. The
-   scenario is a mid-run supply drop (the Fig_adapt shape, scaled down),
-   run at jobs=1 and jobs=4 so the gate also re-asserts the replicate
-   determinism contract on every CI run. Regenerate with
-   CROWDMAX_OPCHECK_PRINT=1 after an intentional change. *)
-let adaptive_opcheck_runs = 6
-let adaptive_opcheck_seed = 107
-
-let adaptive_opcheck_expected =
-  (* total_replans, total_refits, total_drift_detected,
-     total_replans_on_drift *)
-  (20, 6, 6, 5)
-
-let adaptive_opcheck_scaled_source scale =
-  let c = Crowdmax_crowd.Platform.default_config in
-  let config =
-    {
-      c with
-      Crowdmax_crowd.Platform.base_rate =
-        c.Crowdmax_crowd.Platform.base_rate *. scale;
-      attract_per_question =
-        c.Crowdmax_crowd.Platform.attract_per_question *. scale;
-    }
+  let solve b =
+    Tdp.solve ~metrics ~cache
+      (Problem.create ~elements:300 ~budget:b ~latency:model)
   in
-  Engine.Simulated
-    {
-      platform = Crowdmax_crowd.Platform.create ~config ();
-      rwl = { Rwl.votes = 3; error = W.Uniform 0.15 };
-    }
+  List.iter (fun b -> ignore (solve b)) [ 599; 1200; 2400; 4800 ];
+  let replay = solve 1200 in
+  {
+    counters =
+      snapshot_counters (Metrics.snapshot metrics) ~section:"planner"
+        ~key:(Printf.sprintf "planner.sweep.c0=300.%s")
+        (planner_counters @ [ "plan_cache_hits"; "plan_cache_misses" ]);
+    checks =
+      [
+        ( "planner.sweep.c0=300: repeated-budget solve settles 0 new states",
+          replay.Tdp.states_visited = 0 );
+      ];
+  }
 
-let adaptive_opcheck_replicate jobs =
-  Adaptive.replicate ~jobs
-    ~source:(adaptive_opcheck_scaled_source 1.0)
-    ~refit:(Adaptive.On_drift 0.5)
-    ~source_shift:(1, adaptive_opcheck_scaled_source 0.2)
-    ~runs:adaptive_opcheck_runs ~seed:adaptive_opcheck_seed
-    ~problem:(Problem.create ~elements:150 ~budget:450 ~latency:model)
-    ~selection:Selection.tournament ()
+(* The closed loop under a mid-run supply drop (the Fig_adapt shape,
+   scaled down): 6 runs at seed 107, On_drift 0.5 re-fits, supply x0.2
+   from round 1. A drift threshold applied to the wrong quantity, a
+   window that stops clearing or a re-fit that silently stops
+   installing lands here. *)
+let opcheck_adaptive () =
+  let source scale =
+    Engine.Simulated
+      {
+        platform = X.Fig_adapt.slow_platform scale;
+        rwl = { Rwl.votes = 3; error = W.Uniform 0.15 };
+      }
+  in
+  let replicate jobs =
+    Adaptive.replicate ~jobs ~source:(source 1.0)
+      ~refit:(Adaptive.On_drift 0.5) ~source_shift:(1, source 0.2) ~runs:6
+      ~seed:107
+      ~problem:(Problem.create ~elements:150 ~budget:450 ~latency:model)
+      ~selection:Selection.tournament ()
+  in
+  let counters (a : Adaptive.aggregate) =
+    [
+      ("adaptive.replans", a.total_replans);
+      ("adaptive.refits", a.total_refits);
+      ("adaptive.drift_detected", a.total_drift_detected);
+      ("adaptive.replans_on_drift", a.total_replans_on_drift);
+    ]
+  in
+  let seq = replicate 1 in
+  let par = replicate 4 in
+  {
+    counters = counters seq;
+    checks =
+      [
+        ( "adaptive: replans_on_drift <= refits <= drift_detected",
+          seq.total_replans_on_drift <= seq.total_refits
+          && seq.total_refits <= seq.total_drift_detected );
+        ( "adaptive: jobs=4 aggregate = jobs=1 aggregate",
+          Engine.equal_stats seq.engine_aggregate par.engine_aggregate
+          && List.equal
+               (fun (_, a) (_, b) -> Int.equal a b)
+               (counters seq) (counters par) );
+      ];
+  }
 
-let adaptive_opcheck () =
-  section
-    (Printf.sprintf
-       "adaptive closed-loop operation-count gate (%d runs, seed %d)"
-       adaptive_opcheck_runs adaptive_opcheck_seed);
-  let print_mode = Option.is_some (Sys.getenv_opt "CROWDMAX_OPCHECK_PRINT") in
-  let failures = ref 0 in
-  let agg = adaptive_opcheck_replicate 1 in
-  if print_mode then
-    Printf.printf "  (%d, %d, %d, %d)\n%!" agg.Adaptive.total_replans
-      agg.Adaptive.total_refits agg.Adaptive.total_drift_detected
-      agg.Adaptive.total_replans_on_drift
-  else begin
-    let exp_replans, exp_refits, exp_drift, exp_on_drift =
-      adaptive_opcheck_expected
-    in
-    let check name got expected =
-      if got <> expected then begin
-        Printf.printf "  adaptive/%s = %d, pinned %d\n" name got expected;
-        incr failures
-      end
-    in
-    check "replans" agg.Adaptive.total_replans exp_replans;
-    check "refits" agg.Adaptive.total_refits exp_refits;
-    check "drift_detected" agg.Adaptive.total_drift_detected exp_drift;
-    check "replans_on_drift" agg.Adaptive.total_replans_on_drift exp_on_drift;
-    (* drift-triggered replans can't exceed installed re-fits, and the
-       detector must have fired at least once per re-fit *)
-    if agg.Adaptive.total_replans_on_drift > agg.Adaptive.total_refits then begin
-      Printf.printf "  replans_on_drift %d > refits %d\n"
-        agg.Adaptive.total_replans_on_drift agg.Adaptive.total_refits;
-      incr failures
-    end;
-    if agg.Adaptive.total_refits > agg.Adaptive.total_drift_detected then begin
-      Printf.printf "  refits %d > drift_detected %d\n"
-        agg.Adaptive.total_refits agg.Adaptive.total_drift_detected;
-      incr failures
-    end;
-    (* the replicate determinism contract, re-asserted under parallelism *)
-    let par = adaptive_opcheck_replicate 4 in
-    if
-      not
-        (Engine.equal_stats agg.Adaptive.engine_aggregate
-           par.Adaptive.engine_aggregate
-        && agg.Adaptive.total_replans = par.Adaptive.total_replans
-        && agg.Adaptive.total_refits = par.Adaptive.total_refits
-        && agg.Adaptive.total_drift_detected
-           = par.Adaptive.total_drift_detected
-        && agg.Adaptive.total_replans_on_drift
-           = par.Adaptive.total_replans_on_drift)
-    then begin
-      Printf.printf "  jobs=4 aggregate differs from jobs=1\n";
-      incr failures
-    end;
-    if !failures = 0 then
-      Printf.printf
-        "  ok: %d replans, %d refits, %d drift detections, %d drift replans \
-         (jobs-invariant)\n"
-        agg.Adaptive.total_replans agg.Adaptive.total_refits
-        agg.Adaptive.total_drift_detected agg.Adaptive.total_replans_on_drift
-  end;
-  if !failures > 0 then begin
-    Printf.printf "adaptive operation-count gate FAILED (%d mismatches)\n%!"
-      !failures;
-    exit 1
-  end
-
-(* --- query-server operation-count gate ------------------------------------ *)
-
-(* The shared-marketplace server's counters (admissions, completions,
-   fleet steps, rounds, posted questions, re-plans and the
-   load-shift-triggered subset, deadline hits, plus the platform's
-   shared-mode call and discard counters) are pure simulated
-   bookkeeping — bit-deterministic for a fixed (fleet, seed). Pinning
-   them catches a fleet-loop change that slips past the statistical
-   tests: an admission that fires on the wrong step, a re-plan that
-   stops detecting load shifts, a withdrawal that stops discarding.
-   The jobs=1 vs jobs=4 replicate comparison re-asserts the
-   determinism contract on every CI run. Regenerate with
-   CROWDMAX_OPCHECK_PRINT=1 after an intentional change. *)
 module Server = Crowdmax_server.Server
 module Contention = Crowdmax_latency.Contention
 
-let server_opcheck_runs = 4
-let server_opcheck_seed = 113
-
-let server_opcheck_expected =
-  (* queries_admitted, queries_completed, fleet_steps, rounds_run,
-     questions_posted, replans, contention_replans, deadline_hits,
-     shared_calls, shared_discarded_answers *)
-  (4, 4, 6, 10, 1109, 10, 5, 5, 5, 63)
-
-let server_opcheck_specs () =
-  [|
-    Server.query_spec ~label:"a" ~elements:120 ~budget:960 ();
-    Server.query_spec ~label:"b" ~elements:80 ~budget:200
-      ~deadline:(Engine.Fixed (Model.eval model 60)) ();
-    Server.query_spec ~label:"c" ~elements:100 ~budget:800 ~votes:2
-      ~deadline:(Engine.Quantile 0.9) ~admit_step:1 ();
-    Server.query_spec ~label:"d" ~elements:60 ~budget:150 ~admit_step:2 ();
-  |]
-
-let server_opcheck_contention () = Contention.create ~base:model ~beta:0.25
-
-let server_opcheck_replicate jobs =
-  Server.replicate ~jobs
-    ~contention:(server_opcheck_contention ())
-    ~platform:(Crowdmax_crowd.Platform.create ())
-    ~latency:model ~selection:Selection.tournament ~runs:server_opcheck_runs
-    ~seed:server_opcheck_seed (server_opcheck_specs ()) ()
-
-let server_opcheck () =
-  section
-    (Printf.sprintf "query-server operation-count gate (%d runs, seed %d)"
-       server_opcheck_runs server_opcheck_seed);
-  let print_mode = Option.is_some (Sys.getenv_opt "CROWDMAX_OPCHECK_PRINT") in
-  let failures = ref 0 in
-  (* One metered run (the replicate seed's first run rng) pins the
-     counters; the platform section's shared-mode instruments ride
-     along. *)
+(* Four staggered queries (mixed size, budget, votes and deadline) on
+   one shared marketplace under contention-aware planning, seed 113.
+   One metered run on the seed's rng gives the server counters and the
+   platform's shared-mode ones; 4-run replicates at jobs 1 and 4 must
+   agree. An admission on the wrong step, a re-plan that stops
+   detecting load shifts or a withdrawal that stops discarding lands
+   here. *)
+let opcheck_server () =
+  let specs =
+    [|
+      Server.query_spec ~label:"a" ~elements:120 ~budget:960 ();
+      Server.query_spec ~label:"b" ~elements:80 ~budget:200
+        ~deadline:(Engine.Fixed (Model.eval model 60)) ();
+      Server.query_spec ~label:"c" ~elements:100 ~budget:800 ~votes:2
+        ~deadline:(Engine.Quantile 0.9) ~admit_step:1 ();
+      Server.query_spec ~label:"d" ~elements:60 ~budget:150 ~admit_step:2 ();
+    |]
+  in
+  let contention () = Contention.create ~base:model ~beta:0.25 in
   let metrics = Metrics.create () in
-  let rng = Rng.create server_opcheck_seed in
-  let specs = server_opcheck_specs () in
+  let rng = Rng.create 113 in
   let truths =
     Array.map (fun (s : Server.query_spec) -> G.random rng s.Server.elements)
       specs
   in
   let result =
-    Server.run ~metrics
-      ~contention:(server_opcheck_contention ())
+    Server.run ~metrics ~contention:(contention ())
       ~platform:(Crowdmax_crowd.Platform.create ())
       ~latency:model ~selection:Selection.tournament rng specs truths
   in
+  let replicate jobs =
+    Server.replicate ~jobs ~contention:(contention ())
+      ~platform:(Crowdmax_crowd.Platform.create ())
+      ~latency:model ~selection:Selection.tournament ~runs:4 ~seed:113 specs ()
+  in
   let snap = Metrics.snapshot metrics in
-  let count sect name =
-    match Metrics.find snap ~section:sect name with
-    | Some (Metrics.Count c) -> c
-    | _ ->
-        Printf.printf "  %s/%s missing from snapshot\n" sect name;
-        incr failures;
-        -1
+  let key = Printf.sprintf "server.%s" in
+  let counters =
+    snapshot_counters snap ~section:"server" ~key
+      [
+        "queries_admitted"; "queries_completed"; "fleet_steps"; "rounds_run";
+        "questions_posted"; "replans"; "contention_replans"; "deadline_hits";
+      ]
+    @ snapshot_counters snap ~section:"platform" ~key
+        [ "shared_calls"; "shared_discarded_answers" ]
   in
-  let admitted = count "server" "queries_admitted" in
-  let completed = count "server" "queries_completed" in
-  let steps = count "server" "fleet_steps" in
-  let rounds = count "server" "rounds_run" in
-  let posted = count "server" "questions_posted" in
-  let replans = count "server" "replans" in
-  let c_replans = count "server" "contention_replans" in
-  let ddl = count "server" "deadline_hits" in
-  let shared_calls = count "platform" "shared_calls" in
-  let discarded = count "platform" "shared_discarded_answers" in
-  if print_mode then
-    Printf.printf "  (%d, %d, %d, %d, %d, %d, %d, %d, %d, %d)\n%!" admitted
-      completed steps rounds posted replans c_replans ddl shared_calls
-      discarded
-  else begin
-    let ( exp_admitted, exp_completed, exp_steps, exp_rounds, exp_posted,
-          exp_replans, exp_c_replans, exp_ddl, exp_shared, exp_discarded ) =
-      server_opcheck_expected
-    in
-    let check name got expected =
-      if got <> expected then begin
-        Printf.printf "  server/%s = %d, pinned %d\n" name got expected;
-        incr failures
-      end
-    in
-    check "queries_admitted" admitted exp_admitted;
-    check "queries_completed" completed exp_completed;
-    check "fleet_steps" steps exp_steps;
-    check "rounds_run" rounds exp_rounds;
-    check "questions_posted" posted exp_posted;
-    check "replans" replans exp_replans;
-    check "contention_replans" c_replans exp_c_replans;
-    check "deadline_hits" ddl exp_ddl;
-    check "shared_calls" shared_calls exp_shared;
-    check "shared_discarded_answers" discarded exp_discarded;
-    (* structural cross-checks, independent of the pins *)
-    if c_replans > replans then begin
-      Printf.printf "  contention_replans %d > replans %d\n" c_replans replans;
-      incr failures
-    end;
-    if result.Server.contention_replans <> c_replans then begin
-      Printf.printf "  result.contention_replans %d <> metric %d\n"
-        result.Server.contention_replans c_replans;
-      incr failures
-    end;
-    (* the replicate determinism contract, re-asserted under parallelism *)
-    let seq = server_opcheck_replicate 1 in
-    let par = server_opcheck_replicate 4 in
-    if not (Server.equal_aggregate seq par) then begin
-      Printf.printf "  jobs=4 aggregate differs from jobs=1\n";
-      incr failures
-    end;
-    if !failures = 0 then
-      Printf.printf
-        "  ok: %d queries over %d steps, %d rounds, %d posted, %d/%d \
-         replans, %d deadline hits, %d discards (jobs-invariant)\n"
-        admitted steps rounds posted c_replans replans ddl discarded
-  end;
-  if !failures > 0 then begin
-    Printf.printf "query-server operation-count gate FAILED (%d mismatches)\n%!"
-      !failures;
-    exit 1
-  end
+  let get name = find_counter counters (key name) in
+  {
+    counters;
+    checks =
+      [
+        ( "server: contention_replans <= replans",
+          match (get "contention_replans", get "replans") with
+          | Some contention_replans, Some replans ->
+              contention_replans <= replans
+          | _ -> false );
+        ( "server: result.contention_replans = server/contention_replans",
+          Option.equal Int.equal (get "contention_replans")
+            (Some result.Server.contention_replans) );
+        ( "server: jobs=4 aggregate = jobs=1 aggregate",
+          Server.equal_aggregate (replicate 1) (replicate 4) );
+      ];
+  }
 
-(* --- deterministic counter history gate ---------------------------------- *)
+(* Run in this order; their counters concatenate in [opcheck_pins]
+   order. *)
+let opcheck_scenarios =
+  [
+    (fun () -> opcheck_engine 100);
+    (fun () -> opcheck_engine 500);
+    (fun () -> opcheck_planner_cold (40, 108));
+    (fun () -> opcheck_planner_cold (200, 1600));
+    (fun () -> opcheck_planner_cold (500, 999));
+    (fun () -> opcheck_planner_cold (500, 4000));
+    opcheck_planner_sweep;
+    opcheck_adaptive;
+    opcheck_server;
+  ]
 
-(* The opcheck counters above are bit-deterministic, which makes them a
-   cross-PR regression signal as well as an in-PR pin: [history-append]
-   records them in BENCH_history.jsonl (one compact v2 row next to the
-   throughput rows), and [history-check] recomputes them and compares
-   against the most recent counters-bearing row — so a PR that shifts
-   the event loop's or the planner's work profile fails `make ci` with
-   the drifting counter named, even if its author forgot to regenerate
-   the pinned opcheck tables. Because the counters are deterministic,
-   any nonzero drift is a real behavior change; the 2% headroom only
-   tolerates deliberate, reviewed bookkeeping tweaks without demanding
-   a same-commit baseline row. Rows written by the v1 schema carry no
-   counters and are skipped when picking the baseline.
+let opcheck_pins =
+  [
+    ("engine.n=100.events_drained", 6617);
+    ("engine.n=100.worker_arrivals", 902);
+    ("engine.n=100.completions", 5715);
+    ("engine.n=500.events_drained", 60795);
+    ("engine.n=500.worker_arrivals", 8670);
+    ("engine.n=500.completions", 52125);
+    ("planner.cold.c0=40.b=108.states_visited", 2);
+    ("planner.cold.c0=40.b=108.memo_hits", 1);
+    ("planner.cold.c0=40.b=108.memo_misses", 2);
+    ("planner.cold.c0=40.b=108.ub_pruned_branches", 32);
+    ("planner.cold.c0=200.b=1600.states_visited", 2);
+    ("planner.cold.c0=200.b=1600.memo_hits", 1);
+    ("planner.cold.c0=200.b=1600.memo_misses", 2);
+    ("planner.cold.c0=200.b=1600.ub_pruned_branches", 178);
+    ("planner.cold.c0=500.b=999.states_visited", 44887);
+    ("planner.cold.c0=500.b=999.memo_hits", 1490593);
+    ("planner.cold.c0=500.b=999.memo_misses", 44887);
+    ("planner.cold.c0=500.b=999.ub_pruned_branches", 2046204);
+    ("planner.cold.c0=500.b=4000.states_visited", 6);
+    ("planner.cold.c0=500.b=4000.memo_hits", 1);
+    ("planner.cold.c0=500.b=4000.memo_misses", 6);
+    ("planner.cold.c0=500.b=4000.ub_pruned_branches", 541);
+    ("planner.sweep.c0=300.states_visited", 18939);
+    ("planner.sweep.c0=300.memo_hits", 422884);
+    ("planner.sweep.c0=300.memo_misses", 18939);
+    ("planner.sweep.c0=300.ub_pruned_branches", 501583);
+    ("planner.sweep.c0=300.plan_cache_hits", 4);
+    ("planner.sweep.c0=300.plan_cache_misses", 1);
+    ("adaptive.replans", 20);
+    ("adaptive.refits", 6);
+    ("adaptive.drift_detected", 6);
+    ("adaptive.replans_on_drift", 5);
+    ("server.queries_admitted", 4);
+    ("server.queries_completed", 4);
+    ("server.fleet_steps", 6);
+    ("server.rounds_run", 10);
+    ("server.questions_posted", 1109);
+    ("server.replans", 10);
+    ("server.contention_replans", 5);
+    ("server.deadline_hits", 5);
+    ("server.shared_calls", 5);
+    ("server.shared_discarded_answers", 63);
+  ]
 
-   CROWDMAX_BENCH_BASELINE overrides the baseline choice:
-     CROWDMAX_BENCH_BASELINE=skip          skip the gate (prints a note)
-     CROWDMAX_BENCH_BASELINE=<commit-pfx>  compare against the newest
-                                           counters row whose commit
-                                           starts with that prefix *)
+(* Every scenario, run once: the counters and checks they measured. *)
+let opcheck_measure () =
+  let ms = List.map (fun run -> run ()) opcheck_scenarios in
+  ( List.concat_map (fun m -> m.counters) ms,
+    List.concat_map (fun m -> m.checks) ms )
 
-let history_counters () =
-  let out = ref [] in
-  let push key v = out := (key, v) :: !out in
-  (* engine: the opcheck scenarios, platform-section counters *)
-  List.iter
-    (fun (n, _, _, _) ->
-      let cfg = engine_sim_config n in
-      let _agg, snap =
-        Engine.replicate_with_metrics ~runs:engine_opcheck_runs
-          ~seed:engine_opcheck_seed cfg ~elements:n
-      in
-      let get name =
-        match Metrics.find snap ~section:"platform" name with
-        | Some (Metrics.Count c) -> c
-        | _ -> -1
-      in
-      List.iter
-        (fun name -> push (Printf.sprintf "engine.n=%d.%s" n name) (get name))
-        [ "events_drained"; "worker_arrivals"; "completions" ])
-    engine_opcheck_expected;
-  (* planner: the cold opcheck scenarios *)
-  List.iter
-    (fun (c0, b, _, _, _, _) ->
-      let metrics = Metrics.create () in
-      ignore
-        (Tdp.solve ~metrics
-           (Problem.create ~elements:c0 ~budget:b ~latency:model));
-      let snap = Metrics.snapshot metrics in
-      let get name =
-        match Metrics.find snap ~section:"planner" name with
-        | Some (Metrics.Count c) -> c
-        | _ -> -1
-      in
-      List.iter
-        (fun name ->
-          push (Printf.sprintf "planner.cold.c0=%d.b=%d.%s" c0 b name) (get name))
-        [ "states_visited"; "memo_hits"; "memo_misses"; "ub_pruned_branches" ])
-    planner_opcheck_cold_expected;
-  (* planner: the cached sweep, one cache and registry across all solves *)
-  let metrics = Metrics.create () in
-  let cache = Tdp.Cache.create () in
-  List.iter
-    (fun b ->
-      ignore
-        (Tdp.solve ~metrics ~cache
-           (Problem.create ~elements:planner_opcheck_sweep_c0 ~budget:b
-              ~latency:model)))
-    planner_opcheck_sweep_budgets;
-  let snap = Metrics.snapshot metrics in
-  let get name =
-    match Metrics.find snap ~section:"planner" name with
-    | Some (Metrics.Count c) -> c
-    | _ -> -1
-  in
-  List.iter
-    (fun name ->
-      push
-        (Printf.sprintf "planner.sweep.c0=%d.%s" planner_opcheck_sweep_c0 name)
-        (get name))
-    [
-      "states_visited"; "memo_hits"; "memo_misses"; "ub_pruned_branches";
-      "plan_cache_hits"; "plan_cache_misses";
-    ];
-  (* adaptive: the closed-loop opcheck scenario's re-fit counters *)
-  let agg = adaptive_opcheck_replicate 1 in
-  List.iter
-    (fun (name, v) -> push (Printf.sprintf "adaptive.%s" name) v)
-    [
-      ("replans", agg.Adaptive.total_replans);
-      ("refits", agg.Adaptive.total_refits);
-      ("drift_detected", agg.Adaptive.total_drift_detected);
-      ("replans_on_drift", agg.Adaptive.total_replans_on_drift);
-    ];
-  (* server: the shared-marketplace opcheck scenario's fleet counters *)
-  let metrics = Metrics.create () in
-  let rng = Rng.create server_opcheck_seed in
-  let specs = server_opcheck_specs () in
-  let truths =
-    Array.map (fun (s : Server.query_spec) -> G.random rng s.Server.elements)
-      specs
-  in
-  ignore
-    (Server.run ~metrics
-       ~contention:(server_opcheck_contention ())
-       ~platform:(Crowdmax_crowd.Platform.create ())
-       ~latency:model ~selection:Selection.tournament rng specs truths);
-  let snap = Metrics.snapshot metrics in
-  let get sect name =
-    match Metrics.find snap ~section:sect name with
-    | Some (Metrics.Count c) -> c
-    | _ -> -1
-  in
-  List.iter
-    (fun name -> push (Printf.sprintf "server.%s" name) (get "server" name))
-    [
-      "queries_admitted"; "queries_completed"; "fleet_steps"; "rounds_run";
-      "questions_posted"; "replans"; "contention_replans"; "deadline_hits";
-    ];
-  List.iter
-    (fun name -> push (Printf.sprintf "server.%s" name) (get "platform" name))
-    [ "shared_calls"; "shared_discarded_answers" ];
-  List.rev !out
-
-let history_append () =
-  section "bench history: record deterministic counter row";
-  let counters = history_counters () in
-  let module J = Crowdmax_util.Json in
-  let commit = git_commit () in
-  append_bench_history
-    (J.Obj
-       [
-         ("schema", J.String "crowdmax-bench-history/v2");
-         ("commit", J.String commit);
-         ("unix_time", J.Float (Unix.time ()));
-         ("build_profile", J.String Build_profile.value);
-         ("counters", J.Obj (List.map (fun (k, v) -> (k, J.int v)) counters));
-       ]);
-  Printf.printf "appended %d counters for commit %s to %s\n%!"
-    (List.length counters) commit bench_history_file
-
-(* Newest history row that carries counters (and, when the baseline
-   override names a commit prefix, whose commit matches it). Malformed
-   lines are a hard error so the file cannot rot silently. *)
+(* Newest history row that carries counters (and, when
+   CROWDMAX_BENCH_BASELINE names a commit prefix, whose commit starts
+   with it), as (commit, counters). Malformed lines are a hard error so
+   the file cannot rot silently. *)
 let history_baseline () =
-  let module J = Crowdmax_util.Json in
-  if not (Sys.file_exists bench_history_file) then None
-  else begin
-    let ic = open_in bench_history_file in
-    let rows = ref [] in
-    let lineno = ref 0 in
-    (try
-       while true do
-         let line = input_line ic in
-         incr lineno;
-         if not (String.equal (String.trim line) "") then
-           match J.of_string line with
-           | row -> rows := row :: !rows
-           | exception J.Parse_error { position; message } ->
-               Printf.eprintf
-                 "bench: %s:%d: malformed history row (byte %d: %s)\n"
-                 bench_history_file !lineno position message;
-               exit 2
-       done
-     with End_of_file -> ());
-    close_in ic;
-    let commit_of row =
-      Option.value ~default:"unknown"
-        (Option.bind (J.member "commit" row) J.to_str)
-    in
-    let counters_of row =
+  let rows =
+    if not (Sys.file_exists bench_history_file) then []
+    else
+      In_channel.with_open_text bench_history_file In_channel.input_all
+      |> String.split_on_char '\n'
+      |> List.mapi (fun i line ->
+             if String.equal (String.trim line) "" then None
+             else
+               match J.of_string line with
+               | row -> Some row
+               | exception J.Parse_error { position; message } ->
+                   Printf.eprintf
+                     "bench: %s:%d: malformed history row (byte %d: %s)\n"
+                     bench_history_file (i + 1) position message;
+                   exit 2)
+      |> List.filter_map Fun.id
+  in
+  let prefix_ok commit =
+    match Sys.getenv_opt "CROWDMAX_BENCH_BASELINE" with
+    | None -> true
+    | Some prefix -> String.starts_with ~prefix commit
+  in
+  List.find_map
+    (fun row ->
+      let commit =
+        Option.value ~default:"unknown"
+          (Option.bind (J.member "commit" row) J.to_str)
+      in
       match J.member "counters" row with
-      | Some (J.Obj kvs) ->
+      | Some (J.Obj kvs) when prefix_ok commit ->
           Some
-            (List.filter_map
-               (fun (k, v) -> Option.map (fun n -> (k, n)) (J.to_int v))
-               kvs)
-      | _ -> None
-    in
-    let prefix_ok commit =
-      match Sys.getenv_opt "CROWDMAX_BENCH_BASELINE" with
-      | None -> true
-      | Some p ->
-          String.length commit >= String.length p
-          && String.equal (String.sub commit 0 (String.length p)) p
-    in
-    (* [rows] is newest-first *)
-    List.find_map
-      (fun row ->
-        match counters_of row with
-        | Some cs when prefix_ok (commit_of row) -> Some (commit_of row, cs)
-        | _ -> None)
-      !rows
-  end
+            ( commit,
+              List.filter_map
+                (fun (k, v) -> Option.map (fun n -> (k, n)) (J.to_int v))
+                kvs )
+      | _ -> None)
+    (List.rev rows)
 
 let history_drift_pct = 2.0
 
-let history_check () =
-  section
-    (Printf.sprintf
-       "bench history gate (deterministic counters, >%.0f%% drift fails)"
-       history_drift_pct);
-  match Sys.getenv_opt "CROWDMAX_BENCH_BASELINE" with
-  | Some "skip" ->
-      Printf.printf "  CROWDMAX_BENCH_BASELINE=skip: history gate skipped\n"
-  | requested -> (
-      match history_baseline () with
-      | None -> (
-          match requested with
-          | Some prefix ->
-              Printf.eprintf
-                "bench: no counters-bearing row in %s matches commit prefix %S\n"
-                bench_history_file prefix;
-              exit 1
+let opcheck () =
+  section "operation-count gate (pins, structural checks, history drift)";
+  let counters, checks = opcheck_measure () in
+  if Option.is_some (Sys.getenv_opt "CROWDMAX_OPCHECK_PRINT") then begin
+    print_endline "let opcheck_pins =\n  [";
+    List.iter (fun (key, v) -> Printf.printf "    (%S, %d);\n" key v) counters;
+    print_endline "  ]"
+  end
+  else begin
+    let failures = ref 0 in
+    let fail line =
+      incr failures;
+      Printf.printf "  %s\n" line
+    in
+    (* Each key of [expected] the run lacks, or holds more than
+       [tolerance_pct] away from the value [source] quotes, fails. *)
+    let check_against ~source ~tolerance_pct expected =
+      List.iter
+        (fun (key, want) ->
+          match find_counter counters key with
           | None ->
-              Printf.printf
-                "  no counters-bearing row in %s yet; run `main.exe \
-                 history-append` to record one\n"
-                bench_history_file)
-      | Some (commit, old) ->
-          let fresh = history_counters () in
-          let lookup key kvs =
-            Option.map snd
-              (List.find_opt (fun (k, _) -> String.equal k key) kvs)
-          in
-          let failures = ref 0 in
-          List.iter
-            (fun (key, now) ->
-              match lookup key old with
-              | None ->
-                  Printf.printf "  %s: new counter (no baseline), now %d\n" key
-                    now
-              | Some before ->
-                  let drift =
-                    100.0
-                    *. float_of_int (abs (now - before))
-                    /. float_of_int (max (abs before) 1)
-                  in
-                  if drift > history_drift_pct then begin
-                    Printf.printf "  %s: %d -> %d (%+.1f%% vs commit %s)\n" key
-                      before now drift commit;
-                    incr failures
-                  end)
-            fresh;
-          List.iter
-            (fun (key, before) ->
-              if Option.is_none (lookup key fresh) then begin
-                Printf.printf "  %s: counter disappeared (baseline had %d)\n"
-                  key before;
-                incr failures
-              end)
-            old;
-          if !failures > 0 then begin
-            Printf.printf
-              "bench history gate FAILED (%d counter(s) drifted vs commit %s; \
-               if intentional, re-baseline with `main.exe history-append` or \
-               set CROWDMAX_BENCH_BASELINE)\n\
-               %!"
-              !failures commit;
+              Printf.ksprintf fail "%s: missing from its scenario's run, %s %d"
+                key source want
+          | Some got ->
+              let drift =
+                100.0 *. float_of_int (got - want)
+                /. float_of_int (max (abs want) 1)
+              in
+              if Float.abs drift > tolerance_pct then
+                Printf.ksprintf fail "%s = %d, %s %d (%+.1f%%)" key got source
+                  want drift)
+        expected
+    in
+    check_against ~source:"pinned" ~tolerance_pct:0.0 opcheck_pins;
+    List.iter
+      (fun (key, v) ->
+        if Option.is_none (find_counter opcheck_pins key) then
+          Printf.ksprintf fail "%s = %d: not pinned" key v)
+      counters;
+    List.iter
+      (fun (name, holds) -> if not holds then fail ("check failed: " ^ name))
+      checks;
+    if !failures = 0 then
+      Printf.printf "  ok: %d pinned counters, %d structural checks hold\n"
+        (List.length opcheck_pins) (List.length checks);
+    (match Sys.getenv_opt "CROWDMAX_BENCH_BASELINE" with
+    | Some "skip" ->
+        print_endline
+          "  CROWDMAX_BENCH_BASELINE=skip: history comparison skipped"
+    | requested -> (
+        match (history_baseline (), requested) with
+        | None, Some prefix ->
+            Printf.eprintf
+              "bench: no counters-bearing row in %s matches commit prefix %S\n"
+              bench_history_file prefix;
             exit 1
-          end
-          else
-            Printf.printf "  ok: %d counters within %.0f%% of commit %s\n"
-              (List.length fresh) history_drift_pct commit)
+        | None, None ->
+            Printf.printf
+              "  no counters-bearing row in %s yet; run `main.exe \
+               history-append` to record one\n"
+              bench_history_file
+        | Some (commit, row), _ ->
+            List.iter
+              (fun (key, v) ->
+                if Option.is_none (find_counter row key) then
+                  Printf.printf "  %s: new counter (no baseline), now %d\n" key
+                    v)
+              counters;
+            let before = !failures in
+            check_against ~source:("commit " ^ commit ^ " has")
+              ~tolerance_pct:history_drift_pct row;
+            if !failures = before then
+              Printf.printf "  ok: %d counters within %.0f%% of commit %s\n"
+                (List.length counters) history_drift_pct commit
+            else
+              print_endline
+                "  if the drift is intended, re-baseline with `main.exe \
+                 history-append` or set CROWDMAX_BENCH_BASELINE"));
+    if !failures > 0 then begin
+      Printf.printf "operation-count gate FAILED (%d failures)\n%!" !failures;
+      exit 1
+    end
+  end
+
+let history_append () =
+  section "bench history: record deterministic counter row";
+  require_clean_tree ();
+  let counters, _checks = opcheck_measure () in
+  append_bench_history ~schema:"crowdmax-bench-history/v2"
+    [ ("counters", J.Obj (List.map (fun (k, v) -> (k, J.int v)) counters)) ]
 
 (* --- bechamel micro-benchmarks ------------------------------------------ *)
 
@@ -1705,12 +1412,8 @@ let rwl_test name n votes =
       let rng = Rng.create 13 in
       ignore (Rwl.resolve rng { Rwl.votes; error = W.Uniform 0.15 } ~truth questions)))
 
-let engine_test name c0 b sel =
-  let sol = Tdp.solve (Problem.create ~elements:c0 ~budget:b ~latency:model) in
-  let cfg =
-    Engine.config ~allocation:sol.Tdp.allocation ~selection:sel
-      ~latency_model:model ()
-  in
+let engine_test name c0 b selection =
+  let cfg = tdp_config ~selection c0 b in
   Test.make ~name (Staged.stage (fun () ->
       let rng = Rng.create 17 in
       let truth = G.random rng c0 in
@@ -1835,12 +1538,8 @@ let () =
       ("fig14b", fig14b); ("fig15", fig15); ("findings", findings);
       ("figures", figures); ("ablations", ablations); ("micro", micro);
       ("engine", engine_bench);
-      ("engine-opcheck", engine_opcheck);
-      ("planner-opcheck", planner_opcheck);
-      ("adaptive-opcheck", adaptive_opcheck);
-      ("server-opcheck", server_opcheck);
+      ("opcheck", opcheck);
       ("history-append", history_append);
-      ("history-check", history_check);
     ]
   in
   match args with

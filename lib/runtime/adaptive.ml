@@ -48,18 +48,23 @@ let mean_seconds obs =
   List.fold_left (fun acc { Estimate.seconds; _ } -> acc +. seconds) 0.0 obs
   /. float_of_int (List.length obs)
 
+(* A fitted model is usable when it is non-decreasing up to [qmax], the
+   only property the tDP theory needs, and positive at q = 1, so every
+   batch it plans has a positive latency and a [Quantile] deadline cut
+   from it is > 0. A noisy window can produce a negative slope, which
+   would make the planner favor absurdly large batches, or a steep one
+   with a negative intercept; either way the old model is kept. *)
+let usable ~qmax m = Model.is_increasing_on m qmax && Model.eval m 1 > 0.0
+
 (* Re-fit the current model's family on [obs], returning the new model
-   only if it is usable: the fit itself must succeed (enough points,
-   x-variance, finite data — the validated constructors and hardened
-   regressions raise otherwise) and the result must be non-decreasing
-   up to [qmax], the only property the tDP theory needs. A noisy window
-   can produce a negative slope; installing it would make the planner
-   favor absurdly large batches, so the old model is kept instead. *)
+   only if the fit itself succeeds (enough points, x-variance, finite
+   data — the validated constructors and hardened regressions raise
+   otherwise) and the result is [usable]. *)
 let attempt_refit ~qmax model obs =
   if Estimate.distinct_sizes obs < 2 then None
   else
     match Estimate.refit ~like:model obs with
-    | fitted -> if Model.is_increasing_on fitted qmax then Some fitted else None
+    | fitted -> if usable ~qmax fitted then Some fitted else None
     | exception Invalid_argument _ -> None
 
 (* One-point fallback when a full re-fit is under-determined (drift
@@ -78,14 +83,14 @@ let attempt_anchored_refit ~qmax model obs =
       let alpha = (seconds -. delta) /. float_of_int batch_size in
       if Float.is_finite alpha && alpha > 0.0 then
         let fitted = Model.linear ~delta ~alpha in
-        if Model.is_increasing_on fitted qmax then Some fitted else None
+        if usable ~qmax fitted then Some fitted else None
       else None
   | Model.Power { delta; p; _ }, { Estimate.batch_size; seconds } :: _
     when batch_size > 0 ->
       let alpha = (seconds -. delta) /. (float_of_int batch_size ** p) in
       if Float.is_finite alpha && alpha > 0.0 then
         let fitted = Model.power ~delta ~alpha ~p in
-        if Model.is_increasing_on fitted qmax then Some fitted else None
+        if usable ~qmax fitted then Some fitted else None
       else None
   | _ -> None
 

@@ -116,8 +116,9 @@ val run :
     of at most [refit_window] (default 8) entries, and the policy decides
     when to re-fit the current model's family on it
     ({!Crowdmax_latency.Estimate.refit}). A fitted model is installed
-    only if it comes back from the validating constructors and is
-    non-decreasing up to the total budget; otherwise the old model is
+    only if it comes back from the validating constructors, is
+    non-decreasing up to the total budget and is positive at one
+    question; otherwise the old model is
     kept and the loop simply tries again later. Installing a model that
     differs from the current one makes the next [Tdp.solve] re-plan
     against it (the plan cache invalidates on model inequality).

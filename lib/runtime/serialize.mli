@@ -1,20 +1,9 @@
-(** JSON persistence for engine outputs.
+(** JSON documents for engine aggregates and metrics snapshots.
 
-    Lets long experiment campaigns checkpoint their raw results and lets
-    external tooling (plotting, dashboards) consume runs without linking
-    OCaml. Encoders/decoders round-trip exactly (property-tested). *)
-
-val round_to_json : Engine.round_record -> Crowdmax_util.Json.t
-val result_to_json : Engine.result -> Crowdmax_util.Json.t
-
-val model_to_json : Crowdmax_latency.Model.t -> Crowdmax_util.Json.t
-(** [Linear]/[Power] parameters or [Piecewise] knots, tagged by [kind].
-    Raises [Invalid_argument] for [Custom] models (closures have no
-    serial form). *)
-
-val adaptive_result_to_json : Adaptive.result -> Crowdmax_util.Json.t
-(** The engine result plus the closed-loop fields ([replans], [refits],
-    [drift_detected], [replans_on_drift]) and the final planning model. *)
+    What the CLI writes ([run --metrics FILE]) and reads back
+    ([metrics-check FILE]), so external tooling (plotting, dashboards)
+    can consume runs without linking OCaml. The metrics encoder and
+    decoder round-trip exactly. *)
 
 val aggregate_to_json :
   ?metrics:Crowdmax_obs.Metrics.snapshot ->
@@ -35,32 +24,11 @@ val metrics_to_json : Crowdmax_obs.Metrics.snapshot -> Crowdmax_util.Json.t
     the snapshot's (section, name) sort, so the document layout is
     deterministic. *)
 
-val round_of_json :
-  Crowdmax_util.Json.t -> (Engine.round_record, string) result
-
-val result_of_json : Crowdmax_util.Json.t -> (Engine.result, string) result
-(** [Error] names the first missing or ill-typed field. *)
-
-val model_of_json :
-  Crowdmax_util.Json.t -> (Crowdmax_latency.Model.t, string) result
-(** Inverse of {!model_to_json}. Decodes through the validating
-    constructors, so a document carrying a NaN parameter or unsorted
-    knots is an [Error], never a poisoned model. *)
-
-val adaptive_result_of_json :
-  Crowdmax_util.Json.t -> (Adaptive.result, string) result
-(** Inverse of {!adaptive_result_to_json}. The closed-loop counter
-    fields default to 0 and [final_model] to
-    {!Crowdmax_latency.Model.paper_mturk} when absent — dumps written
-    before the re-fit loop existed never re-fit anything. *)
-
-val aggregate_of_json :
-  Crowdmax_util.Json.t -> (Engine.aggregate, string) result
-
 val metrics_of_json :
   Crowdmax_util.Json.t -> (Crowdmax_obs.Metrics.snapshot, string) result
 (** Inverse of {!metrics_to_json} (the snapshot is re-sorted, so the
-    round trip is exact even for hand-edited documents). *)
+    round trip is exact even for hand-edited documents). [Error] names
+    the first missing or ill-typed field. *)
 
 val aggregate_metrics_of_json :
   Crowdmax_util.Json.t -> (Crowdmax_obs.Metrics.snapshot, string) result

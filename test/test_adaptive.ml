@@ -176,19 +176,36 @@ let test_refit_policy_validation () =
 
 (* A periodic re-fit against the (unshifted) simulated platform installs
    a fitted model once the window spans two batch sizes; the planning
-   model the loop ends with is the fit, not the problem's own. *)
+   model the loop ends with is the fit, not the problem's own. The
+   second input (one noiseless vote, a Quantile 0.5 deadline, truth and
+   run on one rng) once installed a fit with L(1) <= 0: the next
+   quantile cutoff was then <= 0 and the platform raised. *)
 let test_every_k_refits () =
-  let problem = Problem.create ~elements:100 ~budget:150 ~latency:model in
-  let truth = G.random (Rng.create 42) 100 in
-  let r =
-    A.run ~source:(simulated ()) ~refit:(A.Every_k_rounds 1) (Rng.create 41)
-      ~problem ~selection:S.tournament truth
+  let check_refits ?deadline ~source ~elements ~budget rng truth =
+    let problem = Problem.create ~elements ~budget ~latency:model in
+    let r =
+      A.run ~source ?deadline ~refit:(A.Every_k_rounds 1) rng ~problem
+        ~selection:S.tournament truth
+    in
+    check_bool "re-fitted at least once" true (r.A.refits >= 1);
+    check_bool "installed model differs from the problem's" true
+      (not (Model.equal r.A.final_model model));
+    check_int "drift counters untouched by Every_k" 0
+      (r.A.drift_detected + r.A.replans_on_drift)
   in
-  check_bool "re-fitted at least once" true (r.A.refits >= 1);
-  check_bool "installed model differs from the problem's" true
-    (not (Model.equal r.A.final_model model));
-  check_int "drift counters untouched by Every_k" 0
-    (r.A.drift_detected + r.A.replans_on_drift)
+  check_refits ~source:(simulated ()) ~elements:100 ~budget:150
+    (Rng.create 41)
+    (G.random (Rng.create 42) 100);
+  let rng = Rng.create 12 in
+  let truth = G.random rng 41 in
+  check_refits ~deadline:(E.Quantile 0.5)
+    ~source:
+      (E.Simulated
+         {
+           platform = Platform.create ();
+           rwl = { Rwl.votes = 1; error = Worker.Uniform 0.0 };
+         })
+    ~elements:41 ~budget:70 rng truth
 
 (* The tentpole's end-to-end behavior: a mid-run supply drop makes the
    observed round seconds blow past the model, the detector fires, the

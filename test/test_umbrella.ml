@@ -22,8 +22,14 @@ let test_pipeline_through_umbrella () =
   Alcotest.check Alcotest.bool "bound below optimum" true
     (Bounds.latency_lower_bound latency ~elements:50 <= sol.Tdp.latency);
   (* serialization reachable *)
-  match Serialize.result_of_json (Serialize.result_to_json r) with
-  | Ok r' -> Alcotest.check Alcotest.bool "serde" true (r = r')
+  let metrics = Metrics.create () in
+  Metrics.add
+    (Metrics.counter metrics ~section:"engine" "rounds")
+    r.Engine.rounds_run;
+  let snap = Metrics.snapshot metrics in
+  match Serialize.metrics_of_json (Serialize.metrics_to_json snap) with
+  | Ok snap' ->
+      Alcotest.check Alcotest.bool "serde" true (Metrics.equal snap snap')
   | Error e -> Alcotest.fail e
 
 let test_cost_through_umbrella () =
