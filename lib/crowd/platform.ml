@@ -57,25 +57,6 @@ let create ?(config = default_config) () =
 
 let config t = t.cfg
 
-(* Reusable simulation buffers. [t] itself stays immutable — one
-   platform value is shared by every run of an engine config, across
-   domains under parallel replication — so mutable storage lives in a
-   per-caller scratch handle instead. *)
-type scratch = {
-  cal : Event_calendar.t;  (* in-flight completion events *)
-  mutable qbuf : int array;  (* answer_batch question pairs, flattened *)
-  mutable slot_query : int array;  (* simulate_shared: slot -> query *)
-  mutable slot_local : int array;  (* simulate_shared: slot -> local idx *)
-}
-
-let scratch () =
-  {
-    cal = Event_calendar.create ();
-    qbuf = [||];
-    slot_query = [||];
-    slot_local = [||];
-  }
-
 (* One simulated worker sitting: how many questions they will answer
    before switching tasks (geometric, mean patience_mean, at least 1).
    [p] is the precomputed success probability 1 / max 1 patience_mean. *)
@@ -169,51 +150,182 @@ type report = {
   deadline_hit : bool;
 }
 
+type pick_policy = Fifo | Proportional
+
+(* --- the marketplace ------------------------------------------------------
+
+   One event loop serves [nq] concurrent batches ("queries") posted at
+   time 0 from a single arrival stream; platform.mli states its
+   semantics ([simulate_shared]) and [simulate] is its one-query view.
+   Two draw contracts shape the code (both tested):
+   - One query draws arrival, patience and service times in the order
+     the golden hex pins, and nothing else: the pick step consumes no
+     rng when only one query is live.
+   - Under [Fifo] with no deadlines, k queries are draw-for-draw one
+     merged batch of [sum qs]: FIFO assigns the [i]th question taken to
+     the query owning merged index [i], and visibility (hence the
+     arrival rate) is the constant total. *)
+
+(* Scalar float state of the event loop. An all-float record is flat, so
+   these fields update without boxing — unlike a [float ref], which
+   allocates on every store. *)
+type clock = {
+  mutable arrival : float;  (* the one pending worker arrival *)
+  mutable burst_mean : float;  (* burst inter-arrival mean at [visible] *)
+  mutable next_deadline : float;  (* earliest deadline of a live query *)
+}
+
+(* Reusable simulation buffers. [t] itself stays immutable — one
+   platform value is shared by every run of an engine config, across
+   domains under parallel replication — so mutable storage lives in a
+   per-caller scratch handle instead. The per-query arrays grow
+   geometrically and are never shrunk. *)
+type scratch = {
+  cal : Event_calendar.t;  (* in-flight completions: ticket, patience left *)
+  clock : clock;
+  mutable size : int array;  (* query -> posted questions *)
+  mutable deadline : float array;  (* query -> withdrawal cutoff *)
+  mutable cursor : int array;  (* query -> questions assigned *)
+  mutable answered : int array;  (* query -> answers counted *)
+  mutable last : float array;  (* query -> last counted completion *)
+  mutable withdrawn : bool array;  (* query -> cut off by its deadline *)
+  mutable live : int;  (* queries neither answered in full nor withdrawn *)
+  mutable visible : int;  (* posted questions of queries not withdrawn *)
+  mutable unassigned : int;  (* their questions no worker took yet *)
+}
+
+let scratch () =
+  {
+    cal = Event_calendar.create ();
+    clock = { arrival = 0.0; burst_mean = 0.0; next_deadline = 0.0 };
+    size = [| 0 |];
+    deadline = [| 0.0 |];
+    cursor = [| 0 |];
+    answered = [| 0 |];
+    last = [| 0.0 |];
+    withdrawn = [| false |];
+    live = 0;
+    visible = 0;
+    unassigned = 0;
+  }
+
+let reserve_queries s nq =
+  if Array.length s.size < nq then begin
+    let n = 2 * nq in
+    s.size <- Array.make n 0;
+    s.deadline <- Array.make n 0.0;
+    s.cursor <- Array.make n 0;
+    s.answered <- Array.make n 0;
+    s.last <- Array.make n 0.0;
+    s.withdrawn <- Array.make n false
+  end
+
 (* Fixed arrival-time buckets (simulated seconds): the first bound sits
    just past [post_overhead], the rest trace the burst window and the
    tail. Fixed bounds keep the exported histogram schema-stable. The
    spec is immutable and built once at module load — registration in
    the per-round hot path shares it instead of allocating and
-   revalidating a fresh bounds array per simulate call. *)
+   revalidating a fresh bounds array per call. *)
 let arrival_bucket_spec =
   Metrics.bucket_spec
     [| 160.0; 180.0; 210.0; 240.0; 300.0; 420.0; 600.0; 900.0; 1800.0 |]
 
-(* Scalar float state threaded through the event loop. An all-float
-   record is flat, so these fields update without boxing — unlike a
-   [float ref], which allocates on every store. *)
-type loop_state = { mutable arr_time : float; mutable last_time : float }
-
-(* The canonical do-nothing completion callback ([batch_latency] only
-   wants the report). The event loop recognizes it by physical equality
-   and skips the indirect call — and the float boxing of its argument —
-   on every completion. *)
+(* The canonical do-nothing completion callbacks ([batch_latency] only
+   wants the report; [simulate] has no shared callback and
+   [simulate_shared] no one-query one). The event loop recognizes them
+   by physical equality and skips the indirect call — and the float
+   boxing of its argument — on every completion. *)
 let noop_complete (_ : int) (_ : float) = ()
+let noop_shared ~query:(_ : int) (_ : int) (_ : float) = ()
 
-let simulate ?(deadline = Float.infinity) ?(metrics = Metrics.disabled)
-    ?scratch:scr t rng q ~on_complete =
+let is_live s i = (not s.withdrawn.(i)) && s.answered.(i) < s.size.(i)
+[@@alloc_free]
+
+(* The query a free worker takes. A pickable query (not withdrawn, with
+   unassigned questions) exists whenever this runs: both call sites
+   check [unassigned > 0]. The single-candidate case draws nothing. The
+   arrays are read out of [s] once, not per scanned query. *)
+let pick_query s rng policy nq =
+  let withdrawn = s.withdrawn and cursor = s.cursor and size = s.size in
+  match policy with
+  | Fifo ->
+      let i = ref 0 in
+      while withdrawn.(!i) || cursor.(!i) >= size.(!i) do
+        incr i
+      done;
+      !i
+  | Proportional ->
+      let total_w = ref 0 and count = ref 0 and first = ref (-1) in
+      for i = 0 to nq - 1 do
+        if (not withdrawn.(i)) && cursor.(i) < size.(i) then begin
+          total_w := !total_w + size.(i);
+          incr count;
+          if !first < 0 then first := i
+        end
+      done;
+      if !count = 1 then !first
+      else begin
+        let r = ref (Rng.int rng !total_w) in
+        let j = ref (-1) in
+        let i = ref 0 in
+        while !j < 0 do
+          if (not withdrawn.(!i)) && cursor.(!i) < size.(!i) then begin
+            if !r < size.(!i) then j := !i else r := !r - size.(!i)
+          end;
+          incr i
+        done;
+        !j
+      end
+[@@alloc_free]
+
+let refresh_deadline s nq =
+  s.clock.next_deadline <- Float.infinity;
+  for i = 0 to nq - 1 do
+    if is_live s i && s.deadline.(i) < s.clock.next_deadline then
+      s.clock.next_deadline <- s.deadline.(i)
+  done
+[@@alloc_free]
+
+(* Withdraw every live query whose deadline [time] is past. Only called
+   when one is, so the arrival-rate constant always needs the update. *)
+let withdraw s cfg time nq =
+  for i = 0 to nq - 1 do
+    if is_live s i && time > s.deadline.(i) then begin
+      s.withdrawn.(i) <- true;
+      s.live <- s.live - 1;
+      s.visible <- s.visible - s.size.(i);
+      s.unassigned <- s.unassigned - (s.size.(i) - s.cursor.(i))
+    end
+  done;
+  if s.visible > 0 then s.clock.burst_mean <- 1.0 /. burst_rate_of cfg s.visible;
+  refresh_deadline s nq
+[@@alloc_free]
+
+(* Run the marketplace over the [nq] queries whose sizes and deadlines
+   are staged in [s]; the reports are then read back with [report_of].
+   [shared] registers the two shared-only instruments. *)
+let market s t rng ~metrics ~shared ~pick ~on_one ~on_shared nq =
   let cfg = t.cfg in
-  if q < 0 then invalid_arg "Platform: negative batch size";
   if cfg.tail_rate <= 0.0 then invalid_arg "Platform: tail_rate must be > 0";
-  if Float.is_nan deadline || deadline <= 0.0 then
-    invalid_arg "Platform: deadline must be > 0";
-  let m_batches = Metrics.counter metrics ~section:"platform" "batches" in
-  Metrics.incr m_batches;
-  if q = 0 then begin
-    let latency = Float.min cfg.post_overhead deadline in
-    {
-      latency;
-      (* No completions happened; the visibility time is the closest
-         well-defined "last event", and it keeps the no-deadline
-         invariant [last_completion = latency] intact for q = 0. *)
-      last_completion = latency;
-      completed = 0;
-      in_flight = 0;
-      unassigned = 0;
-      deadline_hit = deadline < cfg.post_overhead;
-    }
-  end
-  else begin
+  let post = cfg.post_overhead in
+  Metrics.add (Metrics.counter metrics ~section:"platform" "batches") nq;
+  if shared then
+    Metrics.incr (Metrics.counter metrics ~section:"platform" "shared_calls");
+  let total = ref 0 in
+  s.live <- 0;
+  for i = 0 to nq - 1 do
+    let q = s.size.(i) in
+    s.cursor.(i) <- 0;
+    s.answered.(i) <- 0;
+    (* A query of size 0 never assigns anything: it ends at the batch's
+       visibility time, or is cut off at an earlier deadline. *)
+    s.last.(i) <- (if q = 0 then Float.min post s.deadline.(i) else post);
+    s.withdrawn.(i) <- q = 0 && s.deadline.(i) < post;
+    if q > 0 then s.live <- s.live + 1;
+    total := !total + q
+  done;
+  let total = !total in
+  if total > 0 then begin
     (* All platform metrics record *simulated* quantities (event times,
        queue depths), never the wall clock, so they are deterministic
        given the rng — and every recording call is a no-op branch when
@@ -221,457 +333,198 @@ let simulate ?(deadline = Float.infinity) ?(metrics = Metrics.disabled)
     let m_events = Metrics.counter metrics ~section:"platform" "events_drained" in
     let m_arrivals = Metrics.counter metrics ~section:"platform" "worker_arrivals" in
     let m_completions = Metrics.counter metrics ~section:"platform" "completions" in
+    let m_discarded =
+      Metrics.counter
+        (if shared then metrics else Metrics.disabled)
+        ~section:"platform" "shared_discarded_answers"
+    in
     let m_peak = Metrics.peak metrics ~section:"platform" "in_flight_peak" in
     let m_arrival_h =
       Metrics.histogram_spec metrics ~section:"platform" "arrival_seconds"
         ~buckets:arrival_bucket_spec
     in
-    let cal =
-      match scr with
-      | Some s ->
-          Event_calendar.clear s.cal;
-          s.cal
-      | None -> Event_calendar.create ()
-    in
-    (* Per-batch constants, hoisted out of the loop: the visibility
-       power, the exponential means, the log-normal location and the
-       patience probability are all fixed for the batch. *)
-    let post = cfg.post_overhead in
+    let cal = s.cal and clock = s.clock in
+    let size = s.size and cursor = s.cursor and answered = s.answered in
+    let last = s.last and withdrawn = s.withdrawn in
+    (* A completion event carries its question as one ticket word: the
+       index within its query shifted past [qbits], the query in the low
+       bits (no bits at all for one query). *)
+    let qbits = ref 0 in
+    while 1 lsl !qbits < nq do
+      incr qbits
+    done;
+    let qbits = !qbits in
+    let qmask = (1 lsl qbits) - 1 in
+    Event_calendar.clear cal;
+    s.visible <- total;
+    s.unassigned <- total;
+    refresh_deadline s nq;
+    (* Per-call constants, hoisted out of the loop: the exponential
+       means, the log-normal location and the patience probability. The
+       burst mean depends on visibility, so a withdrawal updates it. *)
     let burst_end = post +. cfg.burst_seconds in
     let diurnal = cfg.diurnal_amplitude > 0.0 in
-    let burst_mean = 1.0 /. burst_rate_of cfg q in
+    clock.burst_mean <- 1.0 /. burst_rate_of cfg total;
     let tail_mean = 1.0 /. cfg.tail_rate in
     let median = cfg.service.Worker.median_seconds in
     let sigma = cfg.service.Worker.sigma in
     let mu = if sigma <= 0.0 then 0.0 else Worker.service_mu cfg.service in
     let p_patience = 1.0 /. Float.max 1.0 cfg.patience_mean in
-    (* Draw-for-draw the same arrival stream as [next_arrival]: the
-       clamp, the burst/tail split and the draw order are identical —
-       only the per-call constant recomputation is gone. *)
-    let next_arr t =
-      if diurnal then arrival_after rng cfg q t
-      else begin
-        let t = if t >= post then t else post in
-        if t < burst_end then begin
-          let dt = Rng.exponential rng burst_mean in
-          if t +. dt <= burst_end then t +. dt
-          else burst_end +. Rng.exponential rng tail_mean
-        end
-        else t +. Rng.exponential rng tail_mean
-      end
-    in
+    let live_one = on_one != noop_complete in
+    let live_shared = on_shared != noop_shared in
     (* The arrival stream is a scalar chain — at any moment exactly one
        future arrival exists (each processed arrival draws the next) —
-       so it stays out of the calendar: the next event is simply the
-       earlier of the pending arrival and the earliest completion, with
-       the arrival preferred on (measure-zero) exact ties, matching the
-       old heap's insertion order for that case. Once every question is
-       assigned the chain dies without drawing a successor; the old
-       loop's already-queued final arrival popped as a silent no-op, so
-       dropping it changes no draw and no report field. *)
-    let next_question = ref 0 in
-    let answered = ref 0 in
-    let st = { arr_time = 0.0; last_time = post } in
-    st.arr_time <- next_arr 0.0;
+       so it stays out of the calendar: the next event is the earlier of
+       the pending arrival and the earliest completion, the arrival
+       preferred on (measure-zero) exact ties. Once every question is
+       assigned the chain dies without drawing a successor. *)
+    clock.arrival <- arrival_after rng cfg total 0.0;
     let arrivals_alive = ref true in
-    let deadline_hit = ref false in
-    let live_cb = on_complete != noop_complete in
-    (* An event past the deadline ends the round: with the default
-       infinite deadline the guard never fires and the loop — and its
-       rng draw sequence — is exactly the historical one. The
-       take-a-question step (assign the next index, record the queue
-       peak, draw the service time, schedule the completion) is written
-       out at both event sites rather than through a local closure: a
-       closure call re-boxes the float event time on every event. *)
-    (* The [@alloc_free] attribute puts the whole steady-state event
-       loop under the R6 lint gate: every call in it resolves to an
-       annotated function, and the one caller-supplied escape hatch
-       ([on_complete]) is marked [@alloc_cold] below. *)
-    (while (not !deadline_hit) && !answered < q do
-      if
-        !arrivals_alive
-        && (Event_calendar.is_empty cal
-           || st.arr_time <= Event_calendar.min_time cal)
-      then begin
-        let time = st.arr_time in
-        if time > deadline then deadline_hit := true
-        else if !next_question < q then begin
-          Metrics.incr m_events;
-          Metrics.incr m_arrivals;
-          Metrics.observe m_arrival_h time;
-          (* [next_arr] written out for the steady case: [time] is a
-             processed arrival, so it is >= [post] already and the clamp
-             is a no-op — the draws are [next_arr]'s exactly. Keeping it
-             inline spares the per-arrival closure call and its float
-             boxing. *)
-          st.arr_time <-
-            (if diurnal then arrival_after rng cfg q time
-             else if time < burst_end then begin
-               let dt = Rng.exponential rng burst_mean in
-               if time +. dt <= burst_end then time +. dt
-               else burst_end +. Rng.exponential rng tail_mean
+    let taken = ref 0 in
+    let completions_seen = ref 0 in
+    (* The [@alloc_free] attribute puts the loop under the R6 lint gate:
+       every call in it resolves to an annotated function, and the
+       caller-supplied callbacks are marked [@alloc_cold]. The
+       take-a-question step (pick a query, advance its cursor, record the
+       queue peak, draw the service time, schedule the completion) and the
+       steady arrival draw are written out at their event sites rather
+       than through local closures: a closure call re-boxes the float
+       event time on every event. *)
+    (while s.live > 0 do
+       if
+         !arrivals_alive
+         && (Event_calendar.is_empty cal
+            || clock.arrival <= Event_calendar.min_time cal)
+       then begin
+         let time = clock.arrival in
+         if time > clock.next_deadline then withdraw s cfg time nq;
+         if s.live = 0 then ()
+         else if s.unassigned > 0 then begin
+           Metrics.incr m_events;
+           Metrics.incr m_arrivals;
+           Metrics.observe m_arrival_h time;
+           (* [time] is a processed arrival, so it is >= [post] already
+              and [arrival_after]'s clamp is a no-op: these are its
+              draws exactly. *)
+           clock.arrival <-
+             (if diurnal then arrival_after rng cfg s.visible time
+              else if time < burst_end then begin
+                let dt = Rng.exponential rng clock.burst_mean in
+                if time +. dt <= burst_end then time +. dt
+                else burst_end +. Rng.exponential rng tail_mean
+              end
+              else time +. Rng.exponential rng tail_mean);
+           let patience = draw_patience rng p_patience in
+           let qi = if nq = 1 then 0 else pick_query s rng pick nq in
+           let ticket = (cursor.(qi) lsl qbits) lor qi in
+           cursor.(qi) <- cursor.(qi) + 1;
+           s.unassigned <- s.unassigned - 1;
+           incr taken;
+           Metrics.record_peak m_peak (!taken - !completions_seen);
+           let sv = if sigma <= 0.0 then median else Rng.lognormal rng ~mu ~sigma in
+           Event_calendar.add cal ~time:(time +. sv) ticket (patience - 1)
+         end
+         else arrivals_alive := false
+       end
+       else if Event_calendar.is_empty cal then
+         failwith
+           "Platform: event loop ran dry with a live query (every live query \
+            must have an in-flight question or a live arrival)"
+       else begin
+         let time = Event_calendar.min_time cal in
+         if time > clock.next_deadline then withdraw s cfg time nq;
+         if s.live > 0 then begin
+           let ticket = Event_calendar.min_a cal in
+           let patience = Event_calendar.min_b cal in
+           Event_calendar.remove_min cal;
+           Metrics.incr m_events;
+           incr completions_seen;
+           let qi = ticket land qmask in
+           if withdrawn.(qi) then
+             (* The requester stopped listening; the answer is lost but
+                the worker is still on the market. *)
+             Metrics.incr m_discarded
+           else begin
+             Metrics.incr m_completions;
+             answered.(qi) <- answered.(qi) + 1;
+             if time > last.(qi) then last.(qi) <- time;
+             if live_one then (on_one [@alloc_cold]) (ticket lsr qbits) time
+             else if live_shared then
+               (on_shared [@alloc_cold]) ~query:qi (ticket lsr qbits) time;
+             if answered.(qi) = size.(qi) then begin
+               s.live <- s.live - 1;
+               refresh_deadline s nq
              end
-             else time +. Rng.exponential rng tail_mean);
-          let patience = draw_patience rng p_patience in
-          (* patience >= 1 and a question is free: always take one. *)
-          let idx = !next_question in
-          incr next_question;
-          Metrics.record_peak m_peak (!next_question - !answered);
-          let s = if sigma <= 0.0 then median else Rng.lognormal rng ~mu ~sigma in
-          Event_calendar.add cal ~time:(time +. s) idx (patience - 1)
-        end
-        else arrivals_alive := false
-      end
-      else begin
-        let time = Event_calendar.min_time cal in
-        if time > deadline then deadline_hit := true
-        else begin
-          let idx = Event_calendar.min_a cal in
-          let patience = Event_calendar.min_b cal in
-          Event_calendar.remove_min cal;
-          Metrics.incr m_events;
-          incr answered;
-          Metrics.incr m_completions;
-          if time > st.last_time then st.last_time <- time;
-          if live_cb then (on_complete [@alloc_cold]) idx time;
-          if patience > 0 && !next_question < q then begin
-            let idx = !next_question in
-            incr next_question;
-            Metrics.record_peak m_peak (!next_question - !answered);
-            let s =
-              if sigma <= 0.0 then median else Rng.lognormal rng ~mu ~sigma
-            in
-            Event_calendar.add cal ~time:(time +. s) idx (patience - 1)
-          end
-        end
-      end
-    done)
-    [@alloc_free];
-    {
-      latency = (if !deadline_hit then deadline else st.last_time);
-      (* The loop's running last-completion time, surfaced even when a
-         deadline clips [latency] to the cutoff: this is the observed
-         completion time an estimator can trust (the deadline says how
-         long the caller waited, not how fast the platform was). *)
-      last_completion = st.last_time;
-      completed = !answered;
-      in_flight = !next_question - !answered;
-      unassigned = q - !next_question;
-      deadline_hit = !deadline_hit;
-    }
+           end;
+           if patience > 0 && s.unassigned > 0 then begin
+             let qi = if nq = 1 then 0 else pick_query s rng pick nq in
+             let ticket = (cursor.(qi) lsl qbits) lor qi in
+             cursor.(qi) <- cursor.(qi) + 1;
+             s.unassigned <- s.unassigned - 1;
+             incr taken;
+             Metrics.record_peak m_peak (!taken - !completions_seen);
+             let sv =
+               if sigma <= 0.0 then median else Rng.lognormal rng ~mu ~sigma
+             in
+             Event_calendar.add cal ~time:(time +. sv) ticket (patience - 1)
+           end
+         end
+       end
+     done)
+    [@alloc_free]
   end
+
+(* Query [i]'s report after [market]. [last_completion] is the last
+   counted completion, surfaced even when a deadline clips [latency] to
+   the cutoff: the observed time an estimator can trust. *)
+let report_of s i =
+  let withdrawn = s.withdrawn.(i) in
+  {
+    latency = (if withdrawn then s.deadline.(i) else s.last.(i));
+    last_completion = s.last.(i);
+    completed = s.answered.(i);
+    in_flight = s.cursor.(i) - s.answered.(i);
+    unassigned = s.size.(i) - s.cursor.(i);
+    deadline_hit = withdrawn;
+  }
+
+let check_deadline d =
+  if Float.is_nan d || d <= 0.0 then invalid_arg "Platform: deadline must be > 0"
+
+let simulate ?(deadline = Float.infinity) ?(metrics = Metrics.disabled)
+    ?scratch:scr t rng q ~on_complete =
+  if q < 0 then invalid_arg "Platform: negative batch size";
+  check_deadline deadline;
+  let s = match scr with Some s -> s | None -> scratch () in
+  s.size.(0) <- q;
+  s.deadline.(0) <- deadline;
+  market s t rng ~metrics ~shared:false ~pick:Fifo ~on_one:on_complete
+    ~on_shared:noop_shared 1;
+  report_of s 0
 
 let batch_latency ?deadline ?metrics ?scratch t rng q =
   (simulate ?deadline ?metrics ?scratch t rng q ~on_complete:noop_complete)
     .latency
 
-type answered = { question : int * int; winner : int; completed_at : float }
-
-let answer_batch ?deadline ?metrics ?scratch:scr t rng ~error ~truth questions =
-  let s = match scr with Some s -> s | None -> scratch () in
-  (* Flatten the pairs into the scratch buffer (grown geometrically, so
-     steady-state rounds copy into existing storage) instead of
-     allocating a fresh pair array per round. *)
-  let n = List.length questions in
-  if Array.length s.qbuf < 2 * n then
-    s.qbuf <- Array.make (max 16 (2 * (2 * n))) 0;
-  let qbuf = s.qbuf in
-  List.iteri
-    (fun i (a, b) ->
-      qbuf.((2 * i)) <- a;
-      qbuf.((2 * i) + 1) <- b)
-    questions;
-  let results = ref [] in
-  let on_complete idx time =
-    let a = qbuf.(2 * idx) and b = qbuf.((2 * idx) + 1) in
-    let winner = Worker.answer rng error truth a b in
-    results := { question = (a, b); winner; completed_at = time } :: !results
-  in
-  let report = simulate ?deadline ?metrics ~scratch:s t rng n ~on_complete in
-  (List.rev !results, report)
-
-(* --- shared-supply mode -------------------------------------------------- *)
-
-type pick_policy = Fifo | Proportional
-
-(* One worker marketplace serving several concurrent batches ("queries")
-   at once. A single arrival stream whose rate is driven by the *total*
-   visible question count replaces the per-batch streams [simulate]
-   would conjure — the whole point: concurrent batches no longer each
-   summon an independent crowd.
-
-   Draw contracts (tested):
-   - A single query [|q|] is draw-for-draw identical to [simulate q]:
-     the pick step consumes no rng when only one query is live, and the
-     arrival/patience/service draws happen in [simulate]'s exact order.
-   - Under [Fifo] with no deadlines, k queries are draw-for-draw
-     identical to one merged [simulate (sum qs)] batch: FIFO assigns
-     global question [i] to the query owning flattened slot [i], and
-     visibility (hence the arrival rate) is the constant total, exactly
-     like the merged batch — the no-supply-duplication invariant.
-
-   Visibility: a posted batch contributes its full size to the arrival
-   rate until its query is withdrawn (deadline passed) — matching
-   [simulate], where the batch size drives the rate for the whole run
-   regardless of how much of it is already assigned. [Proportional]
-   picks a query for each free worker with probability proportional to
-   the query's posted size among queries that still have unassigned
-   questions (no draw when only one qualifies).
-
-   Per-query deadlines: when an event lands strictly past a query's
-   deadline the query is withdrawn — its unassigned questions leave the
-   market and later completions of its in-flight questions are
-   discarded (the worker, patience permitting, picks up another query's
-   question instead; the crowd does not evaporate because one requester
-   stopped listening). Discarded questions stay in the query's
-   [in_flight] bucket, so [completed + in_flight + unassigned = q]
-   holds per query. *)
 let simulate_shared ?deadlines ?(metrics = Metrics.disabled) ?scratch:scr t rng
     ~pick ~on_complete qs =
-  let cfg = t.cfg in
   let nq = Array.length qs in
   if nq = 0 then invalid_arg "Platform.simulate_shared: no queries";
   Array.iter
     (fun q -> if q < 0 then invalid_arg "Platform: negative batch size")
     qs;
-  if cfg.tail_rate <= 0.0 then invalid_arg "Platform: tail_rate must be > 0";
-  let deadlines =
-    match deadlines with
-    | None -> Array.make nq Float.infinity
-    | Some d ->
-        if Array.length d <> nq then
-          invalid_arg "Platform.simulate_shared: deadlines length mismatch";
-        Array.iter
-          (fun x ->
-            if Float.is_nan x || x <= 0.0 then
-              invalid_arg "Platform: deadline must be > 0")
-          d;
-        Array.copy d
-  in
-  let m_batches = Metrics.counter metrics ~section:"platform" "batches" in
-  Metrics.add m_batches nq;
-  let m_shared =
-    Metrics.counter metrics ~section:"platform" "shared_calls"
-  in
-  Metrics.incr m_shared;
-  let post = cfg.post_overhead in
-  let zero_report i =
-    let deadline = deadlines.(i) in
-    let latency = Float.min post deadline in
-    {
-      latency;
-      last_completion = latency;
-      completed = 0;
-      in_flight = 0;
-      unassigned = 0;
-      deadline_hit = deadline < post;
-    }
-  in
-  let total = Array.fold_left ( + ) 0 qs in
-  if total = 0 then Array.init nq zero_report
-  else begin
-    let m_events = Metrics.counter metrics ~section:"platform" "events_drained" in
-    let m_arrivals = Metrics.counter metrics ~section:"platform" "worker_arrivals" in
-    let m_completions = Metrics.counter metrics ~section:"platform" "completions" in
-    let m_discarded =
-      Metrics.counter metrics ~section:"platform" "shared_discarded_answers"
-    in
-    let m_peak = Metrics.peak metrics ~section:"platform" "in_flight_peak" in
-    let m_arrival_h =
-      Metrics.histogram_spec metrics ~section:"platform" "arrival_seconds"
-        ~buckets:arrival_bucket_spec
-    in
-    let s = match scr with Some s -> s | None -> scratch () in
-    Event_calendar.clear s.cal;
-    let cal = s.cal in
-    if Array.length s.slot_query < total then begin
-      s.slot_query <- Array.make (max 16 (2 * total)) 0;
-      s.slot_local <- Array.make (max 16 (2 * total)) 0
-    end;
-    let slot_query = s.slot_query and slot_local = s.slot_local in
-    (* Per-query progress. [next_q] is the assignment cursor; a query is
-       "done" once fully answered or withdrawn, and the loop runs until
-       every query is done. *)
-    let next_q = Array.make nq 0 in
-    let answered = Array.make nq 0 in
-    let last_time = Array.make nq post in
-    let withdrawn = Array.make nq false in
-    let done_ = Array.make nq false in
-    let remaining = ref nq in
-    let visible = ref 0 in
-    let unassigned_total = ref 0 in
-    Array.iteri
-      (fun i q ->
-        if q = 0 then begin
-          done_.(i) <- true;
-          decr remaining
-        end
-        else begin
-          visible := !visible + q;
-          unassigned_total := !unassigned_total + q
-        end)
-      qs;
-    let next_deadline = ref Float.infinity in
-    let recompute_next_deadline () =
-      let d = ref Float.infinity in
-      for i = 0 to nq - 1 do
-        if (not done_.(i)) && deadlines.(i) < !d then d := deadlines.(i)
-      done;
-      next_deadline := !d
-    in
-    recompute_next_deadline ();
-    (* Arrival-rate constants depend on total visibility, so they are
-       recomputed only when a withdrawal shrinks it. *)
-    let burst_end = post +. cfg.burst_seconds in
-    let diurnal = cfg.diurnal_amplitude > 0.0 in
-    let burst_mean = ref (1.0 /. burst_rate_of cfg !visible) in
-    let tail_mean = 1.0 /. cfg.tail_rate in
-    let median = cfg.service.Worker.median_seconds in
-    let sigma = cfg.service.Worker.sigma in
-    let mu = if sigma <= 0.0 then 0.0 else Worker.service_mu cfg.service in
-    let p_patience = 1.0 /. Float.max 1.0 cfg.patience_mean in
-    let next_arr t =
-      if diurnal then arrival_after rng cfg !visible t
-      else begin
-        let t = if t >= post then t else post in
-        if t < burst_end then begin
-          let dt = Rng.exponential rng !burst_mean in
-          if t +. dt <= burst_end then t +. dt
-          else burst_end +. Rng.exponential rng tail_mean
-        end
-        else t +. Rng.exponential rng tail_mean
-      end
-    in
-    let withdraw_sweep time =
-      for i = 0 to nq - 1 do
-        if (not done_.(i)) && time > deadlines.(i) then begin
-          withdrawn.(i) <- true;
-          done_.(i) <- true;
-          decr remaining;
-          visible := !visible - qs.(i);
-          unassigned_total := !unassigned_total - (qs.(i) - next_q.(i));
-          if !visible > 0 then burst_mean := 1.0 /. burst_rate_of cfg !visible
-        end
-      done;
-      recompute_next_deadline ()
-    in
-    (* One pickable query (unassigned questions, not withdrawn) always
-       exists when this runs ([unassigned_total > 0] is checked at both
-       call sites). The single-candidate case draws nothing — that is
-       what makes the one-query run identical to [simulate]. *)
-    let pick_query () =
-      match pick with
-      | Fifo ->
-          let i = ref 0 in
-          while withdrawn.(!i) || next_q.(!i) >= qs.(!i) do
-            incr i
-          done;
-          !i
-      | Proportional ->
-          let total_w = ref 0 and count = ref 0 and first = ref (-1) in
-          for i = 0 to nq - 1 do
-            if (not withdrawn.(i)) && next_q.(i) < qs.(i) then begin
-              total_w := !total_w + qs.(i);
-              incr count;
-              if !first < 0 then first := i
-            end
-          done;
-          if !count = 1 then !first
-          else begin
-            let r = ref (Rng.int rng !total_w) in
-            let j = ref (-1) in
-            let i = ref 0 in
-            while !j < 0 do
-              if (not withdrawn.(!i)) && next_q.(!i) < qs.(!i) then begin
-                if !r < qs.(!i) then j := !i else r := !r - qs.(!i)
-              end;
-              incr i
-            done;
-            !j
-          end
-    in
-    let next_slot = ref 0 in
-    let completions_seen = ref 0 in
-    let discarded = ref 0 in
-    (* Assign one question to a worker arriving (or freed) at [time]
-       with [patience] answers left after this one. *)
-    let assign time patience =
-      let qi = pick_query () in
-      let slot = !next_slot in
-      incr next_slot;
-      slot_query.(slot) <- qi;
-      slot_local.(slot) <- next_q.(qi);
-      next_q.(qi) <- next_q.(qi) + 1;
-      decr unassigned_total;
-      Metrics.record_peak m_peak (!next_slot - !completions_seen);
-      let sv = if sigma <= 0.0 then median else Rng.lognormal rng ~mu ~sigma in
-      Event_calendar.add cal ~time:(time +. sv) slot patience
-    in
-    let st = { arr_time = 0.0; last_time = post } in
-    st.arr_time <- next_arr 0.0;
-    let arrivals_alive = ref true in
-    while !remaining > 0 do
-      if
-        !arrivals_alive
-        && (Event_calendar.is_empty cal
-           || st.arr_time <= Event_calendar.min_time cal)
-      then begin
-        let time = st.arr_time in
-        if time > !next_deadline then withdraw_sweep time;
-        if !unassigned_total > 0 then begin
-          Metrics.incr m_events;
-          Metrics.incr m_arrivals;
-          Metrics.observe m_arrival_h time;
-          st.arr_time <- next_arr time;
-          let patience = draw_patience rng p_patience in
-          assign time (patience - 1)
-        end
-        else arrivals_alive := false
-      end
-      else if Event_calendar.is_empty cal then
-        (* No future events can exist: every not-done query would need
-           an in-flight completion or a live arrival to finish. Defensive
-           only — unreachable while tail_rate > 0. *)
-        remaining := 0
-      else begin
-        let time = Event_calendar.min_time cal in
-        if time > !next_deadline then withdraw_sweep time;
-        let slot = Event_calendar.min_a cal in
-        let patience = Event_calendar.min_b cal in
-        Event_calendar.remove_min cal;
-        Metrics.incr m_events;
-        incr completions_seen;
-        let qi = slot_query.(slot) in
-        if withdrawn.(qi) then begin
-          (* The requester stopped listening; the answer is lost but the
-             worker is still on the market. *)
-          incr discarded;
-          Metrics.incr m_discarded
-        end
-        else begin
-          Metrics.incr m_completions;
-          answered.(qi) <- answered.(qi) + 1;
-          if time > last_time.(qi) then last_time.(qi) <- time;
-          on_complete ~query:qi slot_local.(slot) time;
-          if answered.(qi) = qs.(qi) then begin
-            done_.(qi) <- true;
-            decr remaining;
-            recompute_next_deadline ()
-          end
-        end;
-        if patience > 0 && !unassigned_total > 0 then
-          assign time (patience - 1)
-      end
-    done;
-    Array.init nq (fun i ->
-        if qs.(i) = 0 then zero_report i
-        else
-          {
-            latency = (if withdrawn.(i) then deadlines.(i) else last_time.(i));
-            last_completion = last_time.(i);
-            completed = answered.(i);
-            in_flight = next_q.(i) - answered.(i);
-            unassigned = qs.(i) - next_q.(i);
-            deadline_hit = withdrawn.(i);
-          })
-  end
+  Option.iter
+    (fun d ->
+      if Array.length d <> nq then
+        invalid_arg "Platform.simulate_shared: deadlines length mismatch";
+      Array.iter check_deadline d)
+    deadlines;
+  let s = match scr with Some s -> s | None -> scratch () in
+  reserve_queries s nq;
+  Array.blit qs 0 s.size 0 nq;
+  (match deadlines with
+  | None -> Array.fill s.deadline 0 nq Float.infinity
+  | Some d -> Array.blit d 0 s.deadline 0 nq);
+  market s t rng ~metrics ~shared:true ~pick ~on_one:noop_complete
+    ~on_shared:on_complete nq;
+  Array.init nq (report_of s)

@@ -59,10 +59,10 @@ val create : ?config:config -> unit -> t
 val config : t -> config
 
 type scratch
-(** Reusable simulation buffers (the event calendar and the
-    [answer_batch] question buffer). A platform value itself is
-    immutable and freely shared across runs and domains; a [scratch] is
-    mutable and must be confined to one caller at a time — create one
+(** Reusable simulation buffers (the event calendar and the per-query
+    state of the event loop). A platform value itself is immutable and
+    freely shared across runs and domains; a [scratch] is mutable and
+    must be confined to one caller at a time — create one
     per replication worker and thread it through consecutive rounds to
     make the event loop allocation-free in steady state. Optional
     everywhere: omitting it allocates fresh buffers per call. *)
@@ -102,83 +102,13 @@ type report = {
 (** What a batch run produced. [completed + in_flight + unassigned = q].
     Without a deadline, [completed = q] and [deadline_hit = false]. *)
 
-val simulate :
-  ?deadline:float ->
-  ?metrics:Crowdmax_obs.Metrics.t ->
-  ?scratch:scratch ->
-  t ->
-  Crowdmax_util.Rng.t ->
-  int ->
-  on_complete:(int -> float -> unit) ->
-  report
-(** Run the event loop for a [q]-question batch. [on_complete idx time]
-    fires for every answer in completion order; question indices are
-    assigned to arriving workers sequentially ([0, 1, ...]).
+(** {1 The marketplace}
 
-    [deadline] (simulated seconds after posting, default infinity) stops
-    the loop at the first event strictly past it: answers already in
-    are kept, [on_complete] never fires for later ones, and the report
-    says what was cut off. [deadline = infinity] draws the exact
-    historical rng sequence — bit-identical results. Raises
-    [Invalid_argument] on negative [q], a non-positive [tail_rate], or a
-    NaN/non-positive [deadline].
-
-    [metrics] (default disabled) records into the ["platform"] section:
-    [batches], [events_drained], [worker_arrivals], [completions], the
-    [in_flight_peak] high-water mark, and the [arrival_seconds]
-    histogram of simulated worker-arrival times. [events_drained]
-    counts events the loop {e processed}: exactly the worker arrivals
-    that drew from the rng plus the completions delivered to
-    [on_complete], so [events_drained = worker_arrivals + completions]
-    always. The first event past the deadline — observed, but discarded
-    — is not processed and not counted, and neither is an arrival
-    falling after every question was assigned (it can affect nothing).
-    All values are simulated quantities — deterministic given the rng —
-    and recording never draws from [rng], so enabling metrics cannot
-    perturb the simulation. *)
-
-val batch_latency :
-  ?deadline:float ->
-  ?metrics:Crowdmax_obs.Metrics.t ->
-  ?scratch:scratch ->
-  t ->
-  Crowdmax_util.Rng.t ->
-  int ->
-  float
-(** Time (seconds) from posting a [q]-question batch until the last
-    answer returns ([report.latency]). [q = 0] costs just the posting
-    overhead. Raises [Invalid_argument] on negative [q] or a
-    non-positive [tail_rate]. *)
-
-type answered = {
-  question : int * int;
-  winner : int;
-  completed_at : float;  (** seconds after posting *)
-}
-
-val answer_batch :
-  ?deadline:float ->
-  ?metrics:Crowdmax_obs.Metrics.t ->
-  ?scratch:scratch ->
-  t ->
-  Crowdmax_util.Rng.t ->
-  error:Worker.error_model ->
-  truth:Ground_truth.t ->
-  (int * int) list ->
-  answered list * report
-(** Simulate one round: every question that completes by the deadline
-    (all of them, when no deadline is given) is answered exactly once by
-    a raw worker under [error]; returns the answers (in completion
-    order) and the batch report. Question repetition for reliability is
-    the RWL's job ({!Rwl}). *)
-
-(** {1 Shared-supply mode}
-
-    One worker marketplace serving several concurrent batches
-    ("queries") at once — the concurrent-service substrate. A single
-    arrival stream, with rate driven by the {e total} visible question
-    count, replaces the independent per-batch streams that calling
-    {!simulate} once per query would conjure. *)
+    One worker marketplace serving one or more concurrent batches
+    ("queries") at once. A single arrival stream, with rate driven by
+    the {e total} visible question count, serves them all: concurrent
+    batches never each summon an independent crowd. {!simulate_shared}
+    runs it for a fleet; {!simulate} is its one-query view. *)
 
 type pick_policy =
   | Fifo
@@ -200,24 +130,22 @@ val simulate_shared :
   on_complete:(query:int -> int -> float -> unit) ->
   int array ->
   report array
-(** [simulate_shared t rng ~pick ~on_complete qs] runs one event loop
+(** [simulate_shared t rng ~pick ~on_complete qs] runs the event loop
     over all of [qs] (question counts per query, all posted at time 0)
     and returns one {!report} per query. [on_complete ~query idx time]
-    fires for every counted answer; [idx] is the question's index
-    {e within its own query} (assigned sequentially per query, exactly
-    like {!simulate}'s indices).
+    fires for every counted answer, in completion order; [idx] is the
+    question's index {e within its own query}, assigned sequentially per
+    query ([0, 1, ...]).
 
     Visibility and rates: a posted batch contributes its full size to
-    the arrival rate until its query is withdrawn — matching
-    {!simulate}, where the batch size drives the rate for the whole
-    run. Consequently a single query [[|q|]] is {e draw-for-draw
-    identical} to [simulate q], and under [Fifo] with no deadlines, k
-    queries are draw-for-draw identical to one merged
-    [simulate (sum qs)] batch (no supply duplication; the conservation
-    tests pin both).
+    the arrival rate until its query is withdrawn, however much of it
+    is already assigned. A single query [[|q|]] is therefore
+    [simulate q], and under [Fifo] with no deadlines, k queries are
+    draw-for-draw one merged [simulate (sum qs)] batch (no supply
+    duplication; the conservation tests pin both).
 
     [deadlines] (per query, default all infinity, each > 0): the first
-    event strictly past a query's deadline withdraws it — its
+    event strictly past a live query's deadline withdraws it — its
     unassigned questions leave the market and later completions of its
     in-flight questions are discarded, but the {e worker} stays: a
     freed worker with patience left picks up another query's question.
@@ -225,12 +153,62 @@ val simulate_shared :
     bucket, so [completed + in_flight + unassigned = q] holds for every
     query, and summed over queries the three buckets account for every
     posted question. A withdrawn query reports [deadline_hit = true],
-    [latency = deadline] and an unclipped [last_completion], exactly
-    like {!simulate}.
+    [latency = deadline] and an unclipped [last_completion].
 
-    [metrics] (default disabled) records into the ["platform"] section
-    the same instruments as {!simulate} ([batches] advances by the
-    query count) plus [shared_calls] and [shared_discarded_answers].
+    [metrics] (default disabled) records into the ["platform"] section:
+    [batches] (advanced by the query count), [events_drained],
+    [worker_arrivals], [completions], the [in_flight_peak] high-water
+    mark, the [arrival_seconds] histogram of simulated worker-arrival
+    times, and, for [simulate_shared] only, [shared_calls] and
+    [shared_discarded_answers]. One accounting rule covers every call:
+    [events_drained] counts the events the loop {e processed} — the
+    worker arrivals that drew from the rng, the completions delivered to
+    [on_complete] and the discarded completions — so
+    [events_drained = worker_arrivals + completions +
+    shared_discarded_answers] always. An event that would withdraw the
+    {e last} live query ends the loop without being processed: it is
+    neither counted nor discarded and draws nothing. Neither is an
+    arrival falling after every question was assigned (it can affect
+    nothing). All values are simulated quantities — deterministic given
+    the rng — and recording never draws from [rng], so enabling metrics
+    cannot perturb the simulation.
+
     Raises [Invalid_argument] on an empty [qs], a negative count, a
     deadlines-length mismatch, a NaN/non-positive deadline, or a
     non-positive [tail_rate]. *)
+
+val simulate :
+  ?deadline:float ->
+  ?metrics:Crowdmax_obs.Metrics.t ->
+  ?scratch:scratch ->
+  t ->
+  Crowdmax_util.Rng.t ->
+  int ->
+  on_complete:(int -> float -> unit) ->
+  report
+(** The one-query view of {!simulate_shared}: one [q]-question batch
+    with deadline [deadline] (simulated seconds after posting, default
+    infinity), and its report. [on_complete idx time] fires for every
+    answer in completion order.
+
+    The first event strictly past the deadline ends the loop unprocessed
+    (the accounting rule of {!simulate_shared}): answers already in are
+    kept, [on_complete] never fires for later ones, and the report says
+    what was cut off. [deadline = infinity] draws the exact historical
+    rng sequence — bit-identical results. [metrics] records the
+    {!simulate_shared} instruments except the two shared-only ones.
+    Raises [Invalid_argument] on negative [q], a non-positive
+    [tail_rate], or a NaN/non-positive [deadline]. *)
+
+val batch_latency :
+  ?deadline:float ->
+  ?metrics:Crowdmax_obs.Metrics.t ->
+  ?scratch:scratch ->
+  t ->
+  Crowdmax_util.Rng.t ->
+  int ->
+  float
+(** Time (seconds) from posting a [q]-question batch until the last
+    answer returns ([report.latency] of {!simulate}). [q = 0] costs just
+    the posting overhead. Raises [Invalid_argument] on negative [q] or
+    a non-positive [tail_rate]. *)

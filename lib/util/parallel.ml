@@ -149,10 +149,6 @@ let map pool f arr =
                 slots))
   end
 
-let init pool n f =
-  if n < 0 then invalid_arg "Parallel.init: negative length";
-  map pool f (Array.init n (fun i -> i))
-
 let map_chunks ~jobs f xs =
   let n = Array.length xs in
   if jobs <= 1 || n <= 1 then f xs

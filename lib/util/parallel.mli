@@ -1,10 +1,10 @@
 (** Deterministic multicore fan-out on OCaml 5 domains.
 
     A [pool] owns [jobs - 1] worker domains (the calling domain is the
-    [jobs]-th worker) that pull chunk tasks off a shared queue. [map] and
-    [init] split their index space into at most [jobs] contiguous chunks,
-    evaluate the chunks concurrently, and reassemble the results in index
-    order — so as long as [f i] does not depend on evaluation order
+    [jobs]-th worker) that pull chunk tasks off a shared queue. [map]
+    splits its index space into at most [jobs] contiguous chunks,
+    evaluates the chunks concurrently, and reassembles the results in
+    index order — so as long as [f i] does not depend on evaluation order
     (e.g. every element owns its own [Rng.t]), the output is bit-identical
     for any [jobs], including [jobs = 1] which runs inline without
     spawning anything.
@@ -38,10 +38,6 @@ val map : pool -> ('a -> 'b) -> 'a array -> 'b array
 (** [map pool f arr] is [Array.map f arr] with chunks of [arr] evaluated
     on the pool's domains. Result order is the input order regardless of
     scheduling. *)
-
-val init : pool -> int -> (int -> 'a) -> 'a array
-(** [init pool n f] is [Array.init n f] with the index range fanned out
-    across the pool. [f] must tolerate being called from any domain. *)
 
 val map_chunks : jobs:int -> ('a array -> 'b array) -> 'a array -> 'b array
 (** [map_chunks ~jobs f xs] splits [xs] into at most [jobs] contiguous

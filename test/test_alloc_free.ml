@@ -134,6 +134,10 @@ let test_tdp_solve_bounded () =
        allocations"
       delta tight_states loose_states
 
+(* A live callback, as the server passes: the fleet path also pays the
+   boxed completion time of every answer. *)
+let fleet_noop ~query:_ _ _ = ()
+
 let test_platform_simulate_bounded () =
   let p = Platform.create () in
   let scratch = Platform.scratch () in
@@ -141,6 +145,15 @@ let test_platform_simulate_bounded () =
   let batch_words q =
     words_for ~n:1 (fun () ->
         ignore (Platform.batch_latency ~scratch p rng q : float))
+  in
+  let fleet_words q =
+    (* a 3-query Proportional fleet of [q] questions in all *)
+    words_for ~n:1 (fun () ->
+        ignore
+          (Platform.simulate_shared ~scratch p rng ~pick:Platform.Proportional
+             ~on_complete:fleet_noop
+             [| q / 4; q / 4; q / 2 |]
+            : Platform.report array))
   in
   (* The dev profile compiles with -opaque, so the event loop's
      cross-module float traffic — Rng.exponential/lognormal returns,
@@ -151,15 +164,20 @@ let test_platform_simulate_bounded () =
      coefficient keeps it visible and still catches any structural
      per-event allocation (a tuple, closure or list cell per event
      roughly doubles it). *)
-  let w400 = batch_words 400 in
-  let w800 = batch_words 800 in
-  let per_q = (w800 -. w400) /. 400.0 in
-  if per_q > 16.0 then
-    Alcotest.failf
-      "Platform.batch_latency: %.1f minor words per question (dev-profile \
-       float-boxing floor is ~12; the event loop gained a structural \
-       per-event allocation)"
-      per_q
+  List.iter
+    (fun (name, words) ->
+      let w400 = words 400 in
+      let w800 = words 800 in
+      let per_q = (w800 -. w400) /. 400.0 in
+      if per_q > 16.0 then
+        Alcotest.failf
+          "%s: %.1f minor words per question (dev-profile float-boxing floor \
+           is ~12; the event loop gained a structural per-event allocation)"
+          name per_q)
+    [
+      ("Platform.batch_latency", batch_words);
+      ("Platform.simulate_shared", fleet_words);
+    ]
 
 let suite =
   [

@@ -29,24 +29,13 @@ let test_map_matches_sequential () =
             expect got)
         [ 0; 1; 2; 3; 4; 5; 7; 8; 100; 1000 ])
 
-let test_init_matches_sequential () =
-  Parallel.with_pool ~jobs:3 (fun pool ->
-      List.iter
-        (fun n ->
-          Alcotest.check
-            Alcotest.(array int)
-            (Printf.sprintf "init n=%d" n)
-            (Array.init n (fun i -> 3 * i))
-            (Parallel.init pool n (fun i -> 3 * i)))
-        [ 0; 1; 2; 3; 6; 97 ])
-
 let test_pool_reuse () =
   (* Many calls through one pool: the queue must drain cleanly each
      time, including calls smaller than the worker count. *)
   Parallel.with_pool ~jobs:4 (fun pool ->
       for round = 1 to 50 do
         let n = 1 + (round mod 7) in
-        let got = Parallel.init pool n (fun i -> i + round) in
+        let got = Parallel.map pool (fun i -> i + round) (Array.init n Fun.id) in
         Alcotest.check
           Alcotest.(array int)
           "reuse round"
@@ -81,7 +70,9 @@ exception Boom of int
 let test_exception_propagates () =
   Parallel.with_pool ~jobs:4 (fun pool ->
       (match
-         Parallel.init pool 100 (fun i -> if i = 57 then raise (Boom i) else i)
+         Parallel.map pool
+           (fun i -> if i = 57 then raise (Boom i) else i)
+           (Array.init 100 Fun.id)
        with
       | _ -> Alcotest.fail "exception swallowed"
       | exception Boom 57 -> ());
@@ -90,7 +81,7 @@ let test_exception_propagates () =
         Alcotest.(array int)
         "pool survives"
         (Array.init 8 (fun i -> i))
-        (Parallel.init pool 8 (fun i -> i)))
+        (Parallel.map pool Fun.id (Array.init 8 Fun.id)))
 
 let test_recommended_jobs_positive () =
   check_bool "positive" true (Parallel.recommended_jobs () >= 1)
@@ -164,7 +155,6 @@ let suite =
     ( "parallel",
       [
         tc "map matches sequential" `Quick test_map_matches_sequential;
-        tc "init matches sequential" `Quick test_init_matches_sequential;
         tc "pool reuse" `Quick test_pool_reuse;
         tc "jobs=1 runs inline" `Quick test_jobs_one_runs_inline;
         tc "jobs clamped to one" `Quick test_jobs_clamped_to_one;

@@ -1,6 +1,4 @@
 module P = Crowdmax_crowd.Platform
-module W = Crowdmax_crowd.Worker
-module G = Crowdmax_crowd.Ground_truth
 module Rng = Crowdmax_util.Rng
 module Stats = Crowdmax_util.Stats
 
@@ -59,35 +57,6 @@ let test_calibration_near_paper () =
   check_bool "alpha in range" true
     (f.Crowdmax_experiments.Fig11a.alpha > 0.0
     && f.Crowdmax_experiments.Fig11a.alpha < 0.2)
-
-let test_answer_batch_answers_everything () =
-  let p = P.create () in
-  let rng = Rng.create 11 in
-  let truth = G.random rng 10 in
-  let questions = [ (0, 1); (2, 3); (4, 5); (6, 7); (8, 9) ] in
-  let answers, report = P.answer_batch p rng ~error:W.Perfect ~truth questions in
-  let latency = report.P.latency in
-  check_int "one answer per question" 5 (List.length answers);
-  check_int "all completed" 5 report.P.completed;
-  check_int "none in flight" 0 report.P.in_flight;
-  check_int "none unassigned" 0 report.P.unassigned;
-  check_bool "no deadline hit" false report.P.deadline_hit;
-  check_bool "positive latency" true (latency > 0.0);
-  List.iter
-    (fun a ->
-      let x, y = a.P.question in
-      Alcotest.check Alcotest.int "truthful" (G.better truth x y) a.P.winner;
-      check_bool "completed after posting" true (a.P.completed_at > 0.0);
-      check_bool "completed before batch end" true (a.P.completed_at <= latency))
-    answers
-
-let test_answer_batch_empty () =
-  let p = P.create () in
-  let rng = Rng.create 13 in
-  let truth = G.random rng 4 in
-  let answers, report = P.answer_batch p rng ~error:W.Perfect ~truth [] in
-  check_int "no answers" 0 (List.length answers);
-  check_bool "just overhead" true (report.P.latency > 0.0)
 
 let test_deterministic_given_seed () =
   let p = P.create () in
@@ -217,33 +186,6 @@ let test_deadline_validation () =
   Alcotest.check_raises "nan deadline"
     (Invalid_argument "Platform: deadline must be > 0") (fun () ->
       ignore (P.batch_latency ~deadline:Float.nan p (Rng.create 3) 4))
-
-let test_answer_batch_deadline_partial_deterministic () =
-  (* answer_batch under a cutoff: answers are consistent with the
-     report, and the partial path is reproducible from the seed *)
-  let p = P.create () in
-  let truth = G.random (Rng.create 59) 20 in
-  let questions = List.init 10 (fun i -> (2 * i, (2 * i) + 1)) in
-  (* 165 s sits inside the burst window for this seed: some questions
-     are in, some in flight, some unassigned *)
-  let run () =
-    P.answer_batch ~deadline:165.0 p (Rng.create 61) ~error:W.Perfect ~truth
-      questions
-  in
-  let answers, report = run () in
-  check_int "answers = completed" report.P.completed (List.length answers);
-  check_bool "some made it" true (report.P.completed > 0);
-  check_bool "not everything made it" true (report.P.completed < 10);
-  List.iter
-    (fun a ->
-      check_bool "answered before deadline" true (a.P.completed_at <= 165.0))
-    answers;
-  let answers2, report2 = run () in
-  check_int "deterministic completed" report.P.completed report2.P.completed;
-  check_bool "deterministic latency" true
-    (Float.equal report.P.latency report2.P.latency);
-  check_int "deterministic answers" (List.length answers)
-    (List.length answers2)
 
 (* --- arrival-process regressions ---------------------------------------- *)
 
@@ -449,8 +391,6 @@ let suite =
         tc "deadline infinity bit-identical" `Quick test_deadline_infinity_bit_identical;
         tc "deadline partition + monotone" `Quick test_deadline_partition_and_monotone;
         tc "deadline validation" `Quick test_deadline_validation;
-        tc "answer_batch partial deterministic" `Quick
-          test_answer_batch_deadline_partial_deterministic;
         tc "diurnal peak beats trough" `Slow test_diurnal_peak_beats_trough;
         tc "tiny amplitude ~ steady" `Slow test_diurnal_zero_amplitude_matches_steady_stats;
         tc "zero batch = overhead" `Quick test_zero_batch_costs_overhead;
@@ -459,8 +399,6 @@ let suite =
         tc "latency above overhead" `Quick test_latency_exceeds_overhead;
         tc "Fig 11(a) shape" `Slow test_fig11a_shape;
         tc "calibration near paper" `Slow test_calibration_near_paper;
-        tc "answer_batch complete" `Quick test_answer_batch_answers_everything;
-        tc "answer_batch empty" `Quick test_answer_batch_empty;
         tc "deterministic given seed" `Quick test_deterministic_given_seed;
       ] );
   ]

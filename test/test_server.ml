@@ -10,6 +10,7 @@ module Contention = Crowdmax_latency.Contention
 module Model = Crowdmax_latency.Model
 module S = Crowdmax_selection.Selection
 module Rng = Crowdmax_util.Rng
+module Metrics = Crowdmax_obs.Metrics
 
 let tc = Alcotest.test_case
 let check_int = Alcotest.check Alcotest.int
@@ -25,26 +26,48 @@ let events () =
   (log, on_complete)
 
 (* A single shared query is the solo simulator, draw for draw: same
-   report, same completion stream, from the same seed. *)
+   report, same completion stream and the same platform counters from
+   the same seed. Seed 73 at 200 s puts the cutoff on a completion:
+   the event that withdraws the only query ends the loop unprocessed,
+   so it is neither drained nor discarded. *)
 let test_shared_single_query_matches_simulate () =
   let p = Platform.create () in
+  let counters m =
+    List.filter_map
+      (fun (e : Metrics.entry) ->
+        match e.Metrics.value with
+        | Metrics.Count n | Metrics.Peak n -> Some (e.Metrics.name, n)
+        | _ -> None)
+      (Metrics.snapshot m)
+  in
   List.iter
-    (fun (q, deadline) ->
+    (fun (seed, q, deadline) ->
       let solo_log = ref [] in
+      let solo_m = Metrics.create () in
       let solo =
-        Platform.simulate ?deadline p (Rng.create 101) q
+        Platform.simulate ?deadline ~metrics:solo_m p (Rng.create seed) q
           ~on_complete:(fun idx time -> solo_log := (0, idx, time) :: !solo_log)
       in
       let shared_log, on_complete = events () in
+      let shared_m = Metrics.create () in
       let shared =
         Platform.simulate_shared
           ?deadlines:(Option.map (fun d -> [| d |]) deadline)
-          p (Rng.create 101) ~pick:Platform.Fifo ~on_complete [| q |]
+          ~metrics:shared_m p (Rng.create seed) ~pick:Platform.Fifo
+          ~on_complete [| q |]
       in
       check_int "one report" 1 (Array.length shared);
       check_bool "report bit-identical" true (solo = shared.(0));
-      check_bool "completion stream identical" true (!solo_log = !shared_log))
-    [ (12, None); (40, None); (40, Some 165.0) ]
+      check_bool "completion stream identical" true (!solo_log = !shared_log);
+      check_bool "platform counters identical" true
+        (counters solo_m
+        = List.filter
+            (fun (name, _) ->
+              not (String.starts_with ~prefix:"shared_" name))
+            (counters shared_m));
+      check_bool "nothing discarded" true
+        (List.mem ("shared_discarded_answers", 0) (counters shared_m)))
+    [ (101, 12, None); (101, 40, None); (101, 40, Some 165.0); (73, 40, Some 200.0) ]
 
 (* FIFO with no deadlines assigns query 0's questions first, so k
    queries are one merged batch: global index = offset + local index,

@@ -1,8 +1,7 @@
 (* R5 — domain-safety escape analysis for the Parallel worker pool.
 
-   [Crowdmax_util.Parallel.map]/[Parallel.init]/[Parallel.map_chunks]
-   run their function argument on every domain of the pool
-   concurrently. A mutable value created *outside* that closure and
+   [Crowdmax_util.Parallel.map] and [Parallel.map_chunks] run their
+   function argument on every domain of the pool concurrently. A mutable value created *outside* that closure and
    captured by it is therefore shared mutable state across domains —
    the race the repo's determinism guarantee cannot survive. This pass
    finds each such application, resolves its function-typed argument
@@ -33,7 +32,7 @@ type ctx = {
   modname : string;
 }
 
-let worker_entries = [ "Parallel.map"; "Parallel.init"; "Parallel.map_chunks" ]
+let worker_entries = [ "Parallel.map"; "Parallel.map_chunks" ]
 
 (* --- module-wide prepasses ---------------------------------------------- *)
 

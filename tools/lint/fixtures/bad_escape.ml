@@ -26,7 +26,7 @@ let racy_tally pool n =
     tallies.(i mod 8) <- tallies.(i mod 8) + 1;
     i
   in
-  ignore (Parallel.init pool n worker);
+  ignore (Parallel.map pool worker (Array.init n Fun.id));
   tallies
 
 (* OK: the ref is created inside the closure — domain-local by
@@ -44,7 +44,7 @@ let local_ref_ok pool xs =
 (* OK: Atomic.t is the sanctioned cross-domain primitive. *)
 let atomic_ok pool n =
   let counter = Atomic.make 0 in
-  ignore (Parallel.init pool n (fun i ->
+  ignore (Parallel.map pool (fun i ->
       Atomic.incr counter;
-      i));
+      i) (Array.init n Fun.id));
   Atomic.get counter
