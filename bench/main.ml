@@ -1047,7 +1047,8 @@ let opcheck_planner_sweep () =
    scaled down): 6 runs at seed 107, On_drift 0.5 re-fits, supply x0.2
    from round 1. A drift threshold applied to the wrong quantity, a
    window that stops clearing or a re-fit that silently stops
-   installing lands here. *)
+   installing lands here, and so does a re-fit that evicts the
+   problem's plan tables from a cache the runs share. *)
 let opcheck_adaptive () =
   let source scale =
     Engine.Simulated
@@ -1056,12 +1057,23 @@ let opcheck_adaptive () =
         rwl = { Rwl.votes = 3; error = W.Uniform 0.15 };
       }
   in
+  let problem = Problem.create ~elements:150 ~budget:450 ~latency:model in
+  let refit = Adaptive.On_drift 0.5 in
+  let source_shift = (1, source 0.2) in
   let replicate jobs =
-    Adaptive.replicate ~jobs ~source:(source 1.0)
-      ~refit:(Adaptive.On_drift 0.5) ~source_shift:(1, source 0.2) ~runs:6
-      ~seed:107
-      ~problem:(Problem.create ~elements:150 ~budget:450 ~latency:model)
-      ~selection:Selection.tournament ()
+    Adaptive.replicate ~jobs ~source:(source 1.0) ~refit ~source_shift ~runs:6
+      ~seed:107 ~problem ~selection:Selection.tournament ()
+  in
+  (* The same 6 runs through one caller cache: re-fits plan on their
+     own cache, so the problem's tables are built once and reused. *)
+  let cache = Tdp.Cache.create () in
+  let shared =
+    Array.map
+      (fun rng ->
+        let truth = G.random rng problem.Problem.elements in
+        Adaptive.run ~cache ~source:(source 1.0) ~refit ~source_shift rng
+          ~problem ~selection:Selection.tournament truth)
+      (Engine.per_run_rngs ~runs:6 ~seed:107)
   in
   let counters (a : Adaptive.aggregate) =
     [
@@ -1073,6 +1085,26 @@ let opcheck_adaptive () =
   in
   let seq = replicate 1 in
   let par = replicate 4 in
+  let sum f = Array.fold_left (fun acc r -> acc + f r) 0 shared in
+  let shared_agg =
+    {
+      Adaptive.engine_aggregate =
+        Engine.aggregate_results ~runs:6
+          ~timing:
+            (Engine.make_timing ~jobs:1 ~runs:6 (Crowdmax_obs.Clock.now ()))
+          (Array.map (fun r -> r.Adaptive.engine_result) shared);
+      total_replans = sum (fun r -> r.Adaptive.replans);
+      total_refits = sum (fun r -> r.Adaptive.refits);
+      total_drift_detected = sum (fun r -> r.Adaptive.drift_detected);
+      total_replans_on_drift = sum (fun r -> r.Adaptive.replans_on_drift);
+    }
+  in
+  let equal_aggregates (a : Adaptive.aggregate) (b : Adaptive.aggregate) =
+    Engine.equal_stats a.engine_aggregate b.engine_aggregate
+    && List.equal
+         (fun (_, x) (_, y) -> Int.equal x y)
+         (counters a) (counters b)
+  in
   {
     counters = counters seq;
     checks =
@@ -1081,10 +1113,9 @@ let opcheck_adaptive () =
           seq.total_replans_on_drift <= seq.total_refits
           && seq.total_refits <= seq.total_drift_detected );
         ( "adaptive: jobs=4 aggregate = jobs=1 aggregate",
-          Engine.equal_stats seq.engine_aggregate par.engine_aggregate
-          && List.equal
-               (fun (_, a) (_, b) -> Int.equal a b)
-               (counters seq) (counters par) );
+          equal_aggregates seq par );
+        ( "adaptive: caller's plan cache built once across the 6 refitting runs",
+          Tdp.Cache.misses cache = 1 && equal_aggregates seq shared_agg );
       ];
   }
 

@@ -52,6 +52,11 @@ type solution = {
       largest c0 the tables were built for).
 
     Otherwise the solve rebuilds everything for the new (model, c0).
+    A cache holds exactly one model's tables: a solve under a different
+    model discards them, so a later solve under the first model builds
+    them again. A caller that alternates models should hold one cache
+    per model ([Adaptive.run] plans re-fitted models on a cache of its
+    own for this reason).
     Reuse at smaller c0 is sound because every table entry is a pure
     function of (model, state) alone — which is also why cached and
     fresh solves return bit-identical solutions; only the hit/miss

@@ -123,15 +123,22 @@ let run ?cache ?(source = Engine.Oracle) ?(deadline = Engine.Wait_all)
         | Some _ -> scratch
         | None -> Some (Platform.scratch ()))
   in
-  (* Every replan shares one plan cache: the first solve (at the full
-     collection) builds the tables, the shrinking-c0 replans reuse them
-     (the cache is valid for any c0 at or below its capacity). Cached
-     solves are bit-identical to fresh ones, so accepting a caller's
-     cache cannot change the result. A re-fit that installs a different
-     model invalidates the cache on the next solve automatically (the
-     cache keys on [Model.equal]), which is exactly the re-plan the
-     closed loop wants. *)
+  (* Replans under the problem's own model share the caller's plan
+     cache: the first solve (at the full collection) builds the tables,
+     the shrinking-c0 replans reuse them (the cache is valid for any c0
+     at or below its capacity), and so do later runs of the same
+     problem. A cache holds one model's tables, so solves under any
+     other model — a re-fit or [model_shift] — go through a run-local
+     cache instead, created on the first such solve: a re-fit then
+     re-plans against the new model without evicting the prior's
+     tables. Cached solves are bit-identical to fresh ones, so neither
+     cache can change the result. *)
   let cache = match cache with Some c -> c | None -> Tdp.Cache.create () in
+  let refit_cache = lazy (Tdp.Cache.create ()) in
+  let cache_for m =
+    if Model.equal m problem.Problem.latency then cache
+    else Lazy.force refit_cache
+  in
   let replans = ref 0 in
   let refits = ref 0 in
   let drift_detected = ref 0 in
@@ -160,7 +167,9 @@ let run ?cache ?(source = Engine.Oracle) ?(deadline = Engine.Wait_all)
       (fun q ->
         Query.can_plan q
         && begin
-             let planned = Query.replan ~cache ~model:!model q in
+             let planned =
+               Query.replan ~cache:(cache_for !model) ~model:!model q
+             in
              incr replans;
              if !drift_replan_pending then begin
                drift_replan_pending := false;

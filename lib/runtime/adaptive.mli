@@ -21,7 +21,7 @@
     round's [(posted, observed seconds)] as an
     {!Crowdmax_latency.Estimate.observation}, and — under a
     {!refit_policy} — re-fit L(q) on the recent observation window and
-    re-solve through the plan cache when the fitted model drifts. This
+    re-solve against the fitted model when the platform drifts. This
     is how a plan survives a platform whose true L(q) shifts mid-run
     (supply drop, flash crowd): the Fig_adapt experiment measures the
     recovery. *)
@@ -121,7 +121,7 @@ val run :
     question; otherwise the old model is
     kept and the loop simply tries again later. Installing a model that
     differs from the current one makes the next [Tdp.solve] re-plan
-    against it (the plan cache invalidates on model inequality).
+    against it, on the run's own re-fit cache (see [cache] below).
 
     [source_shift]/[model_shift] [(k, v)] replace the answer source /
     planning model just before round [k] runs — the experiment hooks for
@@ -132,12 +132,17 @@ val run :
     [fit_residual_rms_seconds] histogram (observed at every drift
     evaluation). All recorded values are simulated quantities.
 
-    [cache] (default a private one) backs every replan: the first solve
-    builds the planner tables, the shrinking-c0 replans only settle the
-    states the earlier solves haven't. Cached solves are bit-identical
-    to fresh ones, so the cache never changes the result — it only cuts
-    replanning time. The cache is single-domain mutable state; do not
-    share one across domains. *)
+    [cache] (default a private one) backs every replan under the
+    problem's own latency model: the first solve builds the planner
+    tables, the shrinking-c0 replans only settle the states the earlier
+    solves haven't, and runs sharing the cache reuse the tables. A
+    {!Crowdmax_core.Tdp.Cache} holds one model's tables, so replans
+    under any other model — a re-fit or [model_shift] — go through a
+    cache private to the run, created on the first such solve; they
+    never evict the problem's tables from [cache]. Cached solves are
+    bit-identical to fresh ones, so neither cache changes the result —
+    they only cut replanning time. The cache is single-domain mutable
+    state; do not share one across domains. *)
 
 type aggregate = {
   engine_aggregate : Engine.aggregate;
@@ -169,7 +174,8 @@ val replicate :
     {!Engine.replicate}: statistics are bit-identical for any [jobs].
     Runs on the same domain share one plan {!Crowdmax_core.Tdp.Cache}
     and one platform scratch (one each per chunk under [jobs > 1]), so
-    only each chunk's first run pays the planner table build; because
-    cached solves equal fresh solves bit-for-bit, the sharing is
-    invisible in the aggregate. The re-fit optionals are passed through
-    to {!run} unchanged. *)
+    only each chunk's first run pays the planner table build for the
+    problem's model — re-fits included, since {!run} plans re-fitted
+    models on a cache of its own; because cached solves equal fresh
+    solves bit-for-bit, the sharing is invisible in the aggregate. The
+    re-fit optionals are passed through to {!run} unchanged. *)

@@ -88,6 +88,22 @@ let test_replicate_parallel_deterministic () =
         (E.equal_stats base.A.engine_aggregate agg.A.engine_aggregate))
     [ 2; 4 ]
 
+(* A run through a shared plan cache equals a fresh-cache run of the
+   same input: result and closed-loop counters. *)
+let check_same_run name (fresh : A.result) (cached : A.result) =
+  let fe = fresh.A.engine_result and ce = cached.A.engine_result in
+  check_bool (name ^ ": latency bit-identical") true
+    (Float.equal fe.E.total_latency ce.E.total_latency);
+  check_int (name ^ ": questions") fe.E.questions_posted ce.E.questions_posted;
+  check_int (name ^ ": rounds") fe.E.rounds_run ce.E.rounds_run;
+  check_int (name ^ ": chosen") fe.E.chosen ce.E.chosen;
+  check_int (name ^ ": replans") fresh.A.replans cached.A.replans;
+  check_int (name ^ ": refits") fresh.A.refits cached.A.refits;
+  check_int (name ^ ": drift detected") fresh.A.drift_detected
+    cached.A.drift_detected;
+  check_int (name ^ ": replans on drift") fresh.A.replans_on_drift
+    cached.A.replans_on_drift
+
 (* Replans through a shared plan cache must be invisible in the results:
    same rng stream, same truth, bit-identical run — even when the cache
    arrives pre-warmed by solves at other sizes and budgets. *)
@@ -107,16 +123,7 @@ let test_run_shared_cache_bit_identical () =
     let cached =
       A.run ~cache (Rng.create seed) ~problem ~selection:S.tournament truth
     in
-    check_bool "latency bit-identical" true
-      (Float.equal fresh.A.engine_result.E.total_latency
-         cached.A.engine_result.E.total_latency);
-    check_int "questions" fresh.A.engine_result.E.questions_posted
-      cached.A.engine_result.E.questions_posted;
-    check_int "rounds" fresh.A.engine_result.E.rounds_run
-      cached.A.engine_result.E.rounds_run;
-    check_int "chosen" fresh.A.engine_result.E.chosen
-      cached.A.engine_result.E.chosen;
-    check_int "replans" fresh.A.replans cached.A.replans
+    check_same_run "pre-warmed cache" fresh cached
   done
 
 (* The ISSUE's regression pin: replicate (whose per-worker plan caches
@@ -258,6 +265,44 @@ let test_closed_loop_jobs_invariant () =
         p.A.total_replans_on_drift)
     [ 2; 4 ]
 
+(* Re-fits plan on a run-local cache, so runs sharing a caller's cache
+   build the problem's tables once: a refit's solve under the fitted
+   model must not evict them. Each run still equals a fresh-cache run
+   of the same seed, counters included. *)
+let test_refits_keep_caller_cache () =
+  let problem = Problem.create ~elements:120 ~budget:400 ~latency:model in
+  let shift = (1, simulated ~scale:0.15 ()) in
+  let run ?model_shift cache seed =
+    A.run ~cache ~source:(simulated ()) ~refit:(A.On_drift 0.5)
+      ~source_shift:shift ?model_shift (Rng.create seed) ~problem
+      ~selection:S.tournament
+      (G.random (Rng.create (seed + 1)) 120)
+  in
+  let cache = Tdp.Cache.create () in
+  let seeds = [ 71; 73; 79; 83; 89 ] in
+  List.iter
+    (fun seed ->
+      let shared = run cache seed in
+      check_bool "the run re-fitted" true (shared.A.refits >= 1);
+      check_same_run (Printf.sprintf "seed %d" seed)
+        (run (Tdp.Cache.create ()) seed)
+        shared)
+    seeds;
+  check_int "problem's tables built once" 1 (Tdp.Cache.misses cache);
+  (* A shift back to the problem's own model after the re-fit (round 1)
+     plans through the caller's cache again: one more reuse than the
+     same run without the shift, still one build. *)
+  let plain = Tdp.Cache.create () in
+  ignore (run plain 71);
+  let back = Tdp.Cache.create () in
+  let shifted = run ~model_shift:(3, model) back 71 in
+  check_int "shift back builds nothing new" 1 (Tdp.Cache.misses back);
+  check_bool "shift back plans on the caller's cache" true
+    (Tdp.Cache.hits back > Tdp.Cache.hits plain);
+  check_same_run "model shift back"
+    (run ~model_shift:(3, model) (Tdp.Cache.create ()) 71)
+    shifted
+
 (* The headline regression: a supply crash under a Fixed deadline.
    Every clipped round *charges* exactly the deadline, but the refit
    window must record the platform's last_completion — on a crashed
@@ -328,5 +373,7 @@ let suite =
         tc "deadline clip keeps drift visible" `Quick
           test_deadline_clip_keeps_drift_visible;
         tc "closed loop jobs invariant" `Slow test_closed_loop_jobs_invariant;
+        tc "re-fits keep the caller's plan cache" `Quick
+          test_refits_keep_caller_cache;
       ] );
   ]

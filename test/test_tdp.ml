@@ -270,6 +270,17 @@ let test_cache_reuse_and_invalidation () =
     (Tdp.solve ~cache
        (Problem.create ~elements:80 ~budget:500 ~latency:(linear 100.0 2.0)));
   check_int "model change rebuilds" 3 (Tdp.Cache.misses cache);
+  (* one model's tables at a time: A -> B -> A builds three times *)
+  let alternating = Tdp.Cache.create () in
+  List.iter
+    (fun alpha ->
+      let latency = linear 100.0 alpha in
+      ignore
+        (Tdp.solve ~cache:alternating
+           (Problem.create ~elements:40 ~budget:200 ~latency)))
+    [ 1.0; 2.0; 1.0 ];
+  check_int "A -> B -> A rebuilds A" 3 (Tdp.Cache.misses alternating);
+  check_int "A -> B -> A reuses nothing" 0 (Tdp.Cache.hits alternating);
   (* clear resets everything *)
   Tdp.Cache.clear cache;
   check_int "cleared hits" 0 (Tdp.Cache.hits cache);
