@@ -69,6 +69,29 @@ type cache = {
   mutable mono : bool;  (* ub non-decreasing on [1, capacity]? *)
 }
 
+(* Multiplicative hashing for the open-addressed arena. The product's
+   low bits depend only on the key's low bits, which in a packed
+   [(c lsl qbits) lor q] key are [q] alone: a masked product would send
+   every state with the same remaining budget into one cluster. Folding
+   the high half in makes the home slot depend on [c] too. *)
+let[@inline] home_slot mask key =
+  let h = key * 0x2545F4914F6CDD1D in
+  (h lxor (h lsr 32)) land mask
+[@@alloc_free]
+
+(* Linear probing under [land mask]. The probe is a while loop over an
+   int slot index — a local [rec probe] would capture
+   [keys]/[mask]/[key] in a closure on every memo probe. *)
+let find_slot keys mask key =
+  let i = ref (home_slot mask key) in
+  let k = ref (Array.unsafe_get keys !i) in
+  while !k <> key && !k <> 0 do
+    i := (!i + 1) land mask;
+    k := Array.unsafe_get keys !i
+  done;
+  !i
+[@@alloc_free]
+
 module Cache = struct
   type t = cache
 
@@ -121,21 +144,16 @@ module Cache = struct
   let misses t = t.rebuilds
   let states_settled t = t.count
   let capacity t = max 0 t.capacity
-end
 
-(* Fibonacci-hash open addressing (the Pair_set scheme): multiply by the
-   64-bit golden-ratio constant, probe linearly under [land mask]. The
-   probe is a while loop over an int slot index — a local [rec probe]
-   would capture [keys]/[mask]/[key] in a closure on every memo probe. *)
-let find_slot keys mask key =
-  let i = ref ((key * 0x2545F4914F6CDD1D) land mask) in
-  let k = ref (Array.unsafe_get keys !i) in
-  while !k <> key && !k <> 0 do
-    i := (!i + 1) land mask;
-    k := Array.unsafe_get keys !i
-  done;
-  !i
-[@@alloc_free]
+  (* A diagnostic, never on the solve path: one scan of the arena. *)
+  let mean_displacement t =
+    let total = ref 0 in
+    Array.iteri
+      (fun s k ->
+        if k <> 0 then total := !total + ((s - home_slot t.mask k) land t.mask))
+      t.keys;
+    if t.count = 0 then 0.0 else float_of_int !total /. float_of_int t.count
+end
 
 let grow t =
   let okeys = t.keys and olat = t.lat and onxt = t.nxt in
@@ -228,12 +246,12 @@ let rebuild_tables t latency_of mdl c0 =
        integers, same float ops: [ub] is bit-identical to the seed's. *)
     match linear_params with
     | Some (delta, alpha) ->
-        (* Tail-recursive form: the incumbent rides in the call
-           arguments, so without flambda it still lives in a float
-           register instead of a boxed ref — this loop is the whole
-           cost of a cold solve at large budgets. Runs chain left to
-           right under the same strict-<, so value and argmin match
-           the one-pass scan exactly.
+        (* Local float refs that never escape compile to unboxed
+           registers, so the scan allocates nothing per candidate (a
+           recursive form would box its float arguments at every call
+           in the dev profile). Runs chain left to right under the same
+           strict <, so value and argmin match the one-pass scan
+           exactly.
 
            Run pruning: within a run Q is decreasing in c' (the step
            -v(v+1)/2 is negative), so with L non-decreasing and [ub]
@@ -243,37 +261,38 @@ let rebuild_tables t latency_of mdl c0 =
            pairs for v = 1 alone — is skipped by one comparison,
            without touching the minimum's value or its first argmin. *)
         let prune = !mono && alpha >= 0.0 in
-        let rec scan_runs c' best bnext =
-          if c' > c - 1 then begin
-            ub.(c) <- best;
-            ub_next.(c) <- bnext
-          end
-          else begin
-            let v = c / c' in
-            let hi = min (c / v) (c - 1) in
-            let step = Array.unsafe_get ch2 v - (v * v) in
-            if
-              prune
-              && delta
-                 +. (alpha *. float_of_int ((c * v) + (hi * step)))
-                 +. Array.unsafe_get ub c'
-                 >= best
-            then scan_runs (hi + 1) best bnext
-            else begin
-              let rec run i q best bnext =
-                if i > hi then scan_runs i best bnext
-                else
-                  let cand =
-                    delta +. (alpha *. float_of_int q) +. Array.unsafe_get ub i
-                  in
-                  if cand < best then run (i + 1) (q + step) cand i
-                  else run (i + 1) (q + step) best bnext
-              in
-              run c' ((c * v) + (c' * step)) best bnext
-            end
-          end
-        in
-        scan_runs 1 infinity 1
+        (let best = ref infinity and bnext = ref 1 in
+         let c' = ref 1 in
+         while !c' <= c - 1 do
+           let lo = !c' in
+           let v = c / lo in
+           let hi = min (c / v) (c - 1) in
+           let step = Array.unsafe_get ch2 v - (v * v) in
+           if
+             not
+               (prune
+               && delta
+                  +. (alpha *. float_of_int ((c * v) + (hi * step)))
+                  +. Array.unsafe_get ub lo
+                  >= !best)
+           then begin
+             let q = ref ((c * v) + (lo * step)) in
+             for i = lo to hi do
+               let cand =
+                 delta +. (alpha *. float_of_int !q) +. Array.unsafe_get ub i
+               in
+               if cand < !best then begin
+                 best := cand;
+                 bnext := i
+               end;
+               q := !q + step
+             done
+           end;
+           c' := hi + 1
+         done;
+         ub.(c) <- !best;
+         ub_next.(c) <- !bnext)
+        [@alloc_free]
     | None ->
         let best = ref infinity and best_next = ref 1 in
         let c' = ref 1 in

@@ -16,7 +16,8 @@
 
     The memo is a flat arena: the [(c, q)] state packs into one tagged
     int key, DP values live in parallel unboxed [float]/[int] arrays
-    probed open-addressed on ints, and the recursion is an explicit
+    probed open-addressed on ints from a home slot that hashes the whole
+    key (see {!Cache.mean_displacement}), and the recursion is an explicit
     work stack (deep c0 cannot overflow the OCaml stack). Q(c, c') is
     never tabulated — candidate scans step it linearly through
     constant-quotient runs of c', one division per run — and runs that
@@ -85,6 +86,12 @@ module Cache : sig
 
   val capacity : t -> int
   (** Largest c0 the current tables cover; 0 when empty. *)
+
+  val mean_displacement : t -> float
+  (** Mean distance, in slots, of the arena's settled states from their
+      home slots: how far a memo probe walks past its first slot. Computed
+      on demand by scanning the arena (never on the solve path); 0 when
+      the arena is empty. A diagnostic for the arena's hash. *)
 end
 
 val solve :

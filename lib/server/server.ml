@@ -86,7 +86,6 @@ type query_state = {
   spec : query_spec;
   query : Query.t;
   source : Engine.answer_source;
-  cache : Tdp.Cache.t;
   mutable admitted_at : float;
   mutable deadline_hits : int;
   mutable last_model : Model.t option;
@@ -128,6 +127,11 @@ let run ?(metrics = Metrics.disabled) ?scratch ?contention
   let scratch =
     match scratch with Some s -> s | None -> Platform.scratch ()
   in
+  (* One plan cache for the whole fleet. Under contention the queries'
+     effective models differ step to step, so a cache per query never
+     hit; cached and fresh solves are bit-identical, so sharing one
+     changes no plan. *)
+  let cache = Tdp.Cache.create () in
   (* Queries never pad and drop what a deadline cuts off: the next
      step's re-plan and re-selection subsume any carry-forward. *)
   let states =
@@ -144,7 +148,6 @@ let run ?(metrics = Metrics.disabled) ?scratch ?contention
                 platform;
                 rwl = { Rwl.votes = spec.votes; error = spec.error };
               };
-          cache = Tdp.Cache.create ();
           admitted_at = 0.0;
           deadline_hits = 0;
           last_model = None;
@@ -235,7 +238,7 @@ let run ?(metrics = Metrics.disabled) ?scratch ?contention
           st.last_model <- Some model;
           let planned =
             Query.plan st.query
-              (Query.Replanning (Query.replan ~cache:st.cache ~model))
+              (Query.Replanning (Query.replan ~cache ~model))
           in
           Metrics.incr m_replans;
           let asking =
@@ -354,11 +357,11 @@ let replicate ?(jobs = 1) ?contention ?pick ~platform ~latency ~selection ~runs
   let rngs = Engine.per_run_rngs ~runs ~seed in
   (* Per-run ground truths are drawn from the run's own rng, in spec
      order, before the fleet loop touches it — the same
-     truths-then-work shape as [Engine.replicate]. Each run builds
-     fresh per-query plan caches (queries plan against different
-     effective models as load shifts, so cross-run sharing buys little
-     and per-run caches keep the any-[jobs] bit-identity trivial); the
-     platform scratch is shared per chunk like everywhere else. *)
+     truths-then-work shape as [Engine.replicate]. Each run builds its
+     own plan cache (queries plan against different effective models
+     as load shifts, so cross-run sharing buys little and a per-run
+     cache keeps the any-[jobs] bit-identity trivial); the platform
+     scratch is shared per chunk like everywhere else. *)
   let one scratch rng =
     let truths =
       Array.map (fun spec -> Ground_truth.random rng spec.elements) specs

@@ -156,5 +156,5 @@ val replicate :
     fans runs across domains under the standard determinism contract:
     aggregates are bit-identical for any [jobs] (per-run rngs are split
     sequentially, runs chunk contiguously, folds run in run order, and
-    every run builds its own plan caches — cached solves equal fresh
+    every run builds its own plan cache — cached solves equal fresh
     solves bit-for-bit). *)

@@ -134,6 +134,26 @@ let test_tdp_solve_bounded () =
        allocations"
       delta tight_states loose_states
 
+let test_tdp_cold_solve_bounded () =
+  (* A cold solve builds the ub tables: O(c0^2 / run length) linear-model
+     candidates scanned by the [@alloc_free] table build. Its arrays are
+     all longer than the minor heap's size limit, so they go straight to
+     the major heap; what remains on the minor heap is the solution
+     record, the sequence list and a few boxed floats, whatever c0 is.
+     One boxed float per scanned candidate would show as 10^5 words. *)
+  List.iter
+    (fun (c0, b) ->
+      let p =
+        Problem.create ~elements:c0 ~budget:b ~latency:Model.paper_mturk
+      in
+      let words = words_for ~n:1 (fun () -> ignore (Tdp.solve p)) in
+      if words > 2_048.0 then
+        Alcotest.failf
+          "cold Tdp.solve c0=%d b=%d: %.0f minor words (want <= 2048) — the \
+           table build is boxing per candidate"
+          c0 b words)
+    [ (400, 3200); (1000, 2500) ]
+
 (* A live callback, as the server passes: the fleet path also pays the
    boxed completion time of every answer. *)
 let fleet_noop ~query:_ _ _ = ()
@@ -192,6 +212,8 @@ let suite =
         Alcotest.test_case "metrics incr/add/peak/observe" `Quick test_metrics;
         Alcotest.test_case "tournament/ints kernels" `Quick test_int_kernels;
         Alcotest.test_case "tdp solve bounded" `Quick test_tdp_solve_bounded;
+        Alcotest.test_case "tdp cold solve bounded" `Quick
+          test_tdp_cold_solve_bounded;
         Alcotest.test_case "platform simulate bounded" `Quick
           test_platform_simulate_bounded;
       ] );

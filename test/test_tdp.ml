@@ -340,6 +340,21 @@ let test_cached_trivial_instances () =
   Alcotest.check Alcotest.(list int) "c0=2 cached" [ 2; 1 ] two.Tdp.sequence;
   checkf "c0=2 latency" 101.0 two.Tdp.latency
 
+(* Packed keys (c lsl qbits) lor q share their low bits across every c
+   with the same remaining budget; a home slot that ignored the high
+   bits piles those states into one cluster (mean displacement ~44
+   slots on this instance). The whole-key hash keeps probes short. *)
+let test_arena_probe_distance () =
+  let cache = Tdp.Cache.create () in
+  let sol =
+    Tdp.solve ~cache
+      (Problem.create ~elements:500 ~budget:999 ~latency:Model.paper_mturk)
+  in
+  check_int "pinned state count" 44887 sol.Tdp.states_visited;
+  let d = Tdp.Cache.mean_displacement cache in
+  if d > 1.0 then
+    Alcotest.failf "mean home-slot displacement %.2f slots (want <= 1)" d
+
 let suite =
   [
     ( "tdp",
@@ -371,5 +386,6 @@ let suite =
           test_warm_resolve_settles_nothing;
         tc "plan cache metrics" `Quick test_plan_cache_metrics;
         tc "cached trivial instances" `Quick test_cached_trivial_instances;
+        tc "arena probe distance" `Quick test_arena_probe_distance;
       ] );
   ]
