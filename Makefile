@@ -8,12 +8,10 @@ build:
 test:
 	dune runtest
 
-# Benchmarks build with the release profile: the dev profile passes
-# -opaque, which disables the cross-module [@inline] the simulator and
-# rng hot paths rely on, so dev-profile numbers undersell the code and
-# BENCH_engine.json records which profile produced it.
+# The timing benchmark: crowdbench's four end-to-end workloads, release
+# profile, per-layer breakdown (crowdbench/README.md).
 bench:
-	dune exec --profile release bench/main.exe -- $(ARGS)
+	bash crowdbench/run.sh $(ARGS)
 
 # Static analysis gate: runs crowdmax-lint (tools/lint/) over every
 # typedtree in lib/, enforcing the comparison/determinism/domain-safety
@@ -25,13 +23,12 @@ lint:
 # The CI gate: warnings-as-errors build (the ci dune profile promotes
 # the lib/ warning set to errors), the whole test suite, the lint gate,
 # a metrics round-trip smoke (a simulated run dumps --metrics JSON,
-# metrics-check must accept it), and a smoke-scale pass through the
-# bechamel harness so the bench executable stays runnable. opcheck runs
-# the engine, planner, adaptive and server scenarios once and fails on
-# any drift from their pinned operation counts, on a broken structural
+# metrics-check must accept it), and smoke-scale passes through the
+# experiment subcommand so every table stays runnable. opcheck runs the
+# engine, planner, adaptive and server scenarios once and fails on any
+# drift from their pinned operation counts, on a broken structural
 # check, or on >2% drift from the last counters-bearing
-# BENCH_history.jsonl row (bench/main.ml, DESIGN.md §7). The engine
-# throughput pass is informational and writes no file.
+# BENCH_history.jsonl row (bench/main.ml, DESIGN.md §7).
 ci:
 	dune build @all --profile ci
 	dune build @all
@@ -41,15 +38,14 @@ ci:
 		--runs 3 --simulated --metrics _build/ci_metrics_smoke.json
 	dune exec bin/crowdmax_cli.exe -- metrics-check _build/ci_metrics_smoke.json
 	rm -f _build/ci_metrics_smoke.json
-	CROWDMAX_BENCH_RUNS=2 dune exec bench/main.exe -- micro
+	dune exec bin/crowdmax_cli.exe -- experiment ablations --runs 2
 	dune exec bench/main.exe -- opcheck
 	dune exec bin/crowdmax_cli.exe -- run --elements 60 --budget 200 \
 		--runs 2 --simulated --adaptive --refit drift:0.5
 	dune exec bin/crowdmax_cli.exe -- experiment fig_adapt --runs 6 -j 4
 	dune exec bin/crowdmax_cli.exe -- serve --queries 4 --runs 2 -j 4
 	dune exec bin/crowdmax_cli.exe -- experiment fig_server --runs 4 -j 4
-	CROWDMAX_ENGINE_BENCH_SECS=0.3 CROWDMAX_ENGINE_BENCH_WRITE=0 \
-		dune exec bench/main.exe -- engine
+	dune exec bin/crowdmax_cli.exe -- experiment findings --runs 2
 
 clean:
 	dune clean

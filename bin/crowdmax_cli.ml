@@ -7,7 +7,7 @@
      frontier    - the cost-latency Pareto frontier of a budget sweep
      estimate    - run the Sec. 6.1 latency-estimation pipeline
      serve       - a fleet of concurrent MAX queries on one shared marketplace
-     experiment  - regenerate a paper figure (fig11a .. fig15)
+     experiment  - regenerate a paper figure, the findings or the ablations
      metrics-check - validate a `run --metrics` JSON document *)
 
 open Cmdliner
@@ -871,6 +871,8 @@ let experiment_cmd =
       ("fig13a", `Fig13a); ("fig13b", `Fig13b); ("fig14a", `Fig14a);
       ("fig14b", `Fig14b); ("fig15", `Fig15); ("fig_deadline", `Fig_deadline);
       ("fig_adapt", `Fig_adapt); ("fig_server", `Fig_server);
+      ("findings", `Findings); ("robustness", `Robustness);
+      ("ablations", `Ablations);
     ]
   in
   let figure_arg =
@@ -882,26 +884,54 @@ let experiment_cmd =
             (Printf.sprintf "Which figure to regenerate: %s."
                (String.concat ", " (List.map fst figures))))
   in
+  (* Unset, each figure keeps its own seed and run count: a shared
+     default here would override them and print a different table. *)
+  let seed_arg =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "seed" ] ~docv:"SEED"
+          ~doc:"Random seed (default: the figure's own).")
+  in
+  let runs_arg =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "runs" ] ~docv:"RUNS"
+          ~doc:
+            "Replicated runs to average over (default: the figure's own). \
+             fig11a, fig11b, fig14b and fig15 always use their own.")
+  in
   let run figure runs seed jobs =
     let jobs = resolve_jobs jobs in
+    (match runs with
+    | Some r when r < 1 ->
+        Printf.eprintf "crowdmax: --runs must be >= 1 (got %d)\n" r;
+        exit 2
+    | _ -> ());
     match figure with
-    | `Fig11a -> X.Fig11a.print (X.Fig11a.run ~seed ())
-    | `Fig11b -> X.Fig11b.print (X.Fig11b.run ~jobs ~seed ())
-    | `Fig12 -> X.Fig12.print (X.Fig12.run ~jobs ~runs ~seed ())
-    | `Fig13a -> X.Fig13.print (X.Fig13.run_a ~jobs ~runs ~seed ())
-    | `Fig13b -> X.Fig13.print (X.Fig13.run_b ~jobs ~runs ~seed ())
-    | `Fig14a -> X.Fig14.print_a (X.Fig14.run_a ~jobs ~runs ~seed ())
+    | `Fig11a -> X.Fig11a.print (X.Fig11a.run ?seed ())
+    | `Fig11b -> X.Fig11b.print (X.Fig11b.run ~jobs ?seed ())
+    | `Fig12 -> X.Fig12.print (X.Fig12.run ~jobs ?runs ?seed ())
+    | `Fig13a -> X.Fig13.print_a (X.Fig13.run_a ~jobs ?runs ?seed ())
+    | `Fig13b -> X.Fig13.print (X.Fig13.run_b ~jobs ?runs ?seed ())
+    | `Fig14a -> X.Fig14.print_a (X.Fig14.run_a ~jobs ?runs ?seed ())
     | `Fig14b -> X.Fig14.print_b (X.Fig14.run_b ())
     | `Fig15 -> X.Fig15.print (X.Fig15.run ())
     | `Fig_deadline ->
-        X.Fig_deadline.print (X.Fig_deadline.run ~jobs ~runs ~seed ())
-    | `Fig_adapt -> X.Fig_adapt.print (X.Fig_adapt.run ~jobs ~runs ~seed ())
-    | `Fig_server -> X.Fig_server.print (X.Fig_server.run ~jobs ~runs ~seed ())
+        X.Fig_deadline.print (X.Fig_deadline.run ~jobs ?runs ?seed ())
+    | `Fig_adapt -> X.Fig_adapt.print (X.Fig_adapt.run ~jobs ?runs ?seed ())
+    | `Fig_server -> X.Fig_server.print (X.Fig_server.run ~jobs ?runs ?seed ())
+    | `Findings -> X.Findings.print (X.Findings.run ~jobs ?runs ?seed ())
+    | `Robustness -> X.Robustness.print (X.Robustness.run ~jobs ?runs ?seed ())
+    | `Ablations -> X.Ablations.print ~jobs ?runs ?seed ()
   in
   let term = Term.(const run $ figure_arg $ runs_arg $ seed_arg $ jobs_arg) in
   Cmd.v
     (Cmd.info "experiment"
-       ~doc:"Regenerate a figure of the paper's evaluation section.")
+       ~doc:
+         "Regenerate a figure of the paper's evaluation section, the Sec. \
+          6.8 findings, or the ablation and extension tables.")
     term
 
 let () =

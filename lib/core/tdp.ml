@@ -612,87 +612,7 @@ let solve ?(metrics = Metrics.disabled) ?cache (problem : Problem.t) =
 
 let optimal_latency problem = (solve problem).latency
 
-(* --- the seed solver, kept as an in-tree reference ---------------------- *)
-
-(* State key: candidates * clamped remaining budget. *)
-module Memo = Hashtbl.Make (struct
-  type t = int * int
-
-  let equal (a1, b1) (a2, b2) = a1 = a2 && b1 = b2
-  let hash (a, b) = (a * 1_000_003) + b
-end)
-
-let unconstrained_table latency_of c0 =
-  let ub = Array.make (c0 + 1) 0.0 in
-  let ub_next = Array.make (c0 + 1) 1 in
-  for c = 2 to c0 do
-    let best = ref infinity and best_next = ref 1 in
-    for c' = 1 to c - 1 do
-      let cand = latency_of (T.questions c c') +. ub.(c') in
-      if cand < !best then begin
-        best := cand;
-        best_next := c'
-      end
-    done;
-    ub.(c) <- !best;
-    ub_next.(c) <- !best_next
-  done;
-  (ub, ub_next)
-
-let solve_hashtbl (problem : Problem.t) =
-  let latency_of = checked_latency_of "solve_hashtbl" problem.Problem.latency in
-  let c0 = problem.Problem.elements in
-  let b = problem.Problem.budget in
-  let ub, ub_next = unconstrained_table latency_of c0 in
-  (* Memo keyed by the boxed state; only budget-constrained states
-     (q < choose2 c) are memoized, the rest resolve through [ub]. *)
-  let memo : (float * int) Memo.t = Memo.create 4096 in
-  let rec ol c q =
-    if c = 1 then (0.0, 1)
-    else if q >= Ints.choose2 c then (ub.(c), ub_next.(c))
-    else
-      match Memo.find_opt memo (c, q) with
-      | Some r -> r
-      | None ->
-          let best = ref infinity in
-          let best_next = ref 0 in
-          for c' = 1 to c - 1 do
-            let qq = T.questions c c' in
-            let rem = q - qq in
-            if rem >= c' - 1 then begin
-              let round = latency_of qq in
-              if round +. ub.(c') < !best then begin
-                let tail, _ = ol c' (clamp_budget c' rem) in
-                let total = round +. tail in
-                if total < !best then begin
-                  best := total;
-                  best_next := c'
-                end
-              end
-            end
-          done;
-          let r = (!best, !best_next) in
-          Memo.add memo (c, q) r;
-          r
-  in
-  let latency, _ = ol c0 (clamp_budget c0 b) in
-  let rec rebuild c q acc =
-    if c = 1 then List.rev acc
-    else begin
-      let _, next = ol c q in
-      let qq = T.questions c next in
-      rebuild next (clamp_budget next (q - qq)) (next :: acc)
-    end
-  in
-  let sequence = rebuild c0 (clamp_budget c0 b) [ c0 ] in
-  let allocation = Allocation.of_count_sequence sequence in
-  {
-    sequence;
-    allocation;
-    latency;
-    questions_used = Allocation.questions_total allocation;
-    states_visited = Memo.length memo;
-  }
+(* --- reference solvers, the oracles of the tests ------------------------- *)
 
 let solve_bottom_up (problem : Problem.t) =
   let latency_of = checked_latency_of "solve_bottom_up" problem.Problem.latency in

@@ -120,17 +120,13 @@ val solve :
 val optimal_latency : Problem.t -> float
 (** Just the objective value. *)
 
-val solve_hashtbl : Problem.t -> solution
-(** The pre-arena solver: boxed [Hashtbl] memo over [(int * int)] keys,
-    recursive [ol]. Identical answers (the equivalence properties pin
-    this); kept as the baseline the planner bench measures the flat
-    arena against and as a reference oracle in tests. *)
-
 val solve_bottom_up : Problem.t -> solution
 (** Reference implementation filling the full [b x c0] table (no
-    top-down pruning); identical answers, much slower on big budgets —
-    kept for the ablation bench and as an oracle in tests. Intended for
-    small instances. *)
+    top-down pruning or memo): the oracle the tests check {!solve}
+    against, bit for bit in [sequence], [latency] and [questions_used].
+    [states_visited] counts every table cell, not the states {!solve}
+    settles. Much slower on big budgets; intended for small
+    instances. *)
 
 val brute_force : Problem.t -> solution
 (** Exhaustive enumeration of all feasible sequences. Exponential; only

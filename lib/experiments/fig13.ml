@@ -80,3 +80,13 @@ let series t =
 let print t =
   Crowdmax_util.Table.print
     (Common.series_table ~title:t.title ~x_label:t.x_label (series t))
+
+let print_a t =
+  print t;
+  (* Sec. 6.4 also quotes the allocations behind the coincidences *)
+  print_newline ();
+  List.iter
+    (fun (label, note) ->
+      if String.equal label "tDP+Tournament" || String.equal label "uHF+CT25" then
+        Printf.printf "  %s\n" note)
+    t.example_allocations

@@ -27,3 +27,7 @@ val run_a : ?jobs:int -> ?runs:int -> ?seed:int -> ?budget:int -> unit -> t
 val run_b : ?jobs:int -> ?runs:int -> ?seed:int -> ?elements:int -> unit -> t
 val series : t -> Common.series list
 val print : t -> unit
+
+val print_a : t -> unit
+(** {!print}, then the tDP+Tournament and uHF+CT25 allocation at each x:
+    Sec. 6.4 quotes them to explain where the curves coincide. *)

@@ -4,7 +4,7 @@ let () =
   Alcotest.run "crowdmax"
     (Test_rng.suite @ Test_stats.suite @ Test_parallel.suite
    @ Test_heap.suite @ Test_table.suite
-   @ Test_ints.suite @ Test_json.suite @ Test_csv.suite @ Test_metrics.suite @ Test_alloc_free.suite
+   @ Test_ints.suite @ Test_json.suite @ Test_metrics.suite @ Test_alloc_free.suite
    @ Test_event_calendar.suite @ Test_answer_dag.suite
    @ Test_dag_model.suite @ Test_undirected.suite
    @ Test_max_ind.suite @ Test_linear_ext.suite @ Test_scoring.suite

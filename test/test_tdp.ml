@@ -195,13 +195,11 @@ let test_planner_metrics () =
     | Some (M.Real_seconds t) -> t >= 0.0
     | _ -> false)
 
-(* --- flat arena vs the boxed reference solver --------------------------- *)
+(* --- flat arena vs the bottom-up reference solver ----------------------- *)
 
 (* Bit-identical, not approximately equal: the flat solver keeps the
-   seed's scan order and float operations, so every field must match
-   exactly — including [states_visited], whose cold-solve semantics
-   (states settled = memo misses) coincide with the hashtbl solver's
-   memo size. *)
+   reference's scan order and float operations, so the plan, its
+   latency and its question count must match exactly. *)
 let check_solutions_identical label (a : Tdp.solution) (b : Tdp.solution) =
   Alcotest.check Alcotest.(list int) (label ^ ": sequence") a.Tdp.sequence
     b.Tdp.sequence;
@@ -215,7 +213,7 @@ let check_solutions_identical label (a : Tdp.solution) (b : Tdp.solution) =
   check_int (label ^ ": questions_used") a.Tdp.questions_used
     b.Tdp.questions_used
 
-let test_flat_matches_hashtbl () =
+let test_flat_matches_bottom_up () =
   let rng = Rng.create 17 in
   for _ = 1 to 60 do
     let c0 = 2 + Rng.int rng 39 in
@@ -223,12 +221,9 @@ let test_flat_matches_hashtbl () =
     let delta = float_of_int (5 + Rng.int rng 300) in
     let alpha = 0.05 +. Rng.float rng 2.0 in
     let p = Problem.create ~elements:c0 ~budget:b ~latency:(linear delta alpha) in
-    let flat = Tdp.solve p and boxed = Tdp.solve_hashtbl p in
     check_solutions_identical
       (Printf.sprintf "c0=%d b=%d" c0 b)
-      boxed flat;
-    check_int "cold states = hashtbl memo size" boxed.Tdp.states_visited
-      flat.Tdp.states_visited
+      (Tdp.solve_bottom_up p) (Tdp.solve p)
   done
 
 let test_cached_sweep_bit_identical () =
@@ -377,7 +372,7 @@ let suite =
         tc "states visited" `Quick test_states_visited_positive;
         tc "non-finite L fails loudly" `Quick test_non_finite_latency_fails_loudly;
         tc "planner metrics" `Quick test_planner_metrics;
-        tc "flat arena = hashtbl reference" `Slow test_flat_matches_hashtbl;
+        tc "flat arena = bottom-up reference" `Slow test_flat_matches_bottom_up;
         tc "cached shuffled sweep bit-identical" `Quick
           test_cached_sweep_bit_identical;
         tc "cache reuse and invalidation" `Quick
