@@ -56,6 +56,12 @@ let jobs_arg =
            Results are bit-identical for every value; only wall-clock \
            changes.")
 
+(* Every replicated command needs at least one run. *)
+let check_runs runs =
+  if runs < 1 then (
+    Printf.eprintf "crowdmax: --runs must be >= 1 (got %d)\n" runs;
+    exit 2)
+
 (* 0 means "use every core the runtime recommends". *)
 let resolve_jobs jobs =
   if jobs < 0 then (
@@ -530,6 +536,7 @@ let run_cmd =
   let run elements budget delta alpha p seed runs jobs selection simulated
       votes worker_error deadline straggler adaptive refit metrics_out =
     let jobs = resolve_jobs jobs in
+    check_runs runs;
     let finite_deadline =
       match deadline with Engine.Wait_all -> false | _ -> true
     in
@@ -782,6 +789,7 @@ let serve_cmd =
   in
   let run queries runs seed jobs selection oblivious pick =
     let jobs = resolve_jobs jobs in
+    check_runs runs;
     if queries < 1 || queries > 32 then begin
       Printf.eprintf "crowdmax: --queries must be in 1..32 (got %d)\n" queries;
       exit 2
@@ -854,6 +862,7 @@ let serve_cmd =
 
 let estimate_cmd =
   let run runs seed =
+    check_runs runs;
     X.Fig11a.print (X.Fig11a.run ~runs_per_size:runs ~seed ())
   in
   let term = Term.(const run $ runs_arg $ seed_arg) in
@@ -899,19 +908,16 @@ let experiment_cmd =
       & opt (some int) None
       & info [ "runs" ] ~docv:"RUNS"
           ~doc:
-            "Replicated runs to average over (default: the figure's own). \
-             fig11a, fig11b, fig14b and fig15 always use their own.")
+            "Replicated runs to average over (default: the figure's own); \
+             for fig11a, batches posted per size. fig14b and fig15 always \
+             use their own.")
   in
   let run figure runs seed jobs =
     let jobs = resolve_jobs jobs in
-    (match runs with
-    | Some r when r < 1 ->
-        Printf.eprintf "crowdmax: --runs must be >= 1 (got %d)\n" r;
-        exit 2
-    | _ -> ());
+    Option.iter check_runs runs;
     match figure with
-    | `Fig11a -> X.Fig11a.print (X.Fig11a.run ?seed ())
-    | `Fig11b -> X.Fig11b.print (X.Fig11b.run ~jobs ?seed ())
+    | `Fig11a -> X.Fig11a.print (X.Fig11a.run ?runs_per_size:runs ?seed ())
+    | `Fig11b -> X.Fig11b.print (X.Fig11b.run ~jobs ?runs ?seed ())
     | `Fig12 -> X.Fig12.print (X.Fig12.run ~jobs ?runs ?seed ())
     | `Fig13a -> X.Fig13.print_a (X.Fig13.run_a ~jobs ?runs ?seed ())
     | `Fig13b -> X.Fig13.print (X.Fig13.run_b ~jobs ?runs ?seed ())

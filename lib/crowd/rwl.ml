@@ -13,159 +13,153 @@ type outcome = {
   accuracy : float;
 }
 
-(* Tarjan's strongly connected components over the voted answer digraph,
-   restricted to the elements that appear in this round's questions. *)
-let scc_of ~nodes ~succ =
-  let index = Hashtbl.create 64 in
-  let lowlink = Hashtbl.create 64 in
-  let on_stack = Hashtbl.create 64 in
-  let comp = Hashtbl.create 64 in
-  let stack = ref [] in
-  let counter = ref 0 in
-  let comp_count = ref 0 in
-  let rec strongconnect v =
-    Hashtbl.replace index v !counter;
-    Hashtbl.replace lowlink v !counter;
-    incr counter;
-    stack := v :: !stack;
-    Hashtbl.replace on_stack v ();
-    List.iter
-      (fun w ->
-        if not (Hashtbl.mem index w) then begin
-          strongconnect w;
-          let lv = Hashtbl.find lowlink v and lw = Hashtbl.find lowlink w in
-          if lw < lv then Hashtbl.replace lowlink v lw
-        end
-        else if Hashtbl.mem on_stack w then begin
-          let lv = Hashtbl.find lowlink v and iw = Hashtbl.find index w in
-          if iw < lv then Hashtbl.replace lowlink v iw
-        end)
-      (succ v);
-    if Hashtbl.find lowlink v = Hashtbl.find index v then begin
-      let rec popall () =
-        match !stack with
-        | [] -> ()
-        | w :: rest ->
-            stack := rest;
-            Hashtbl.remove on_stack w;
-            Hashtbl.replace comp w !comp_count;
-            if w <> v then popall ()
-      in
-      popall ();
-      incr comp_count
+(* The working set of one resolution, reused round after round. Every
+   array grows geometrically and is never freed, so a warmed scratch
+   resolves a round without allocating anything per question.
+
+   Edge buffers, one slot per answered question in question order:
+   [winner]/[loser] hold the voted answer and, after [orient], the final
+   one. Element-indexed: [local] maps an element id to its dense node
+   label for this round, and is all -1 between calls. Node-indexed (the
+   round's distinct elements, labelled in first-appearance order):
+   everything else. *)
+type scratch = {
+  mutable winner : int array;
+  mutable loser : int array;
+  mutable adj : int array; (* CSR successor lists, one slot per edge *)
+  mutable local : int array;
+  mutable ids : int array; (* node -> element id *)
+  mutable start : int array; (* CSR offsets, nodes + 1 *)
+  mutable cursor : int array;
+  mutable index : int array;
+  mutable lowlink : int array;
+  mutable comp : int array;
+  mutable stack : int array;
+  mutable dfs_v : int array;
+  mutable dfs_i : int array;
+  mutable score : int array;
+  mutable answered : int;
+  mutable vote_flips : int;
+  mutable flipped : int;
+  mutable unanswered : (int * int) list;
+}
+
+let scratch () =
+  {
+    winner = [||];
+    loser = [||];
+    adj = [||];
+    local = [||];
+    ids = [||];
+    start = [||];
+    cursor = [||];
+    index = [||];
+    lowlink = [||];
+    comp = [||];
+    stack = [||];
+    dfs_v = [||];
+    dfs_i = [||];
+    score = [||];
+    answered = 0;
+    vote_flips = 0;
+    flipped = 0;
+    unanswered = [];
+  }
+
+let answered s = s.answered
+let winner s i = s.winner.(i)
+let loser s i = s.loser.(i)
+let unanswered s = s.unanswered
+
+let grown a need =
+  if Array.length a >= need then a
+  else Array.make (max need (2 * Array.length a)) 0
+
+(* Room for [edges] answers over element ids in [0, elements). A round
+   touches at most [min elements (2 * edges)] distinct elements. *)
+let reserve s ~elements ~edges =
+  if Array.length s.local < elements then
+    s.local <- Array.make (max elements (2 * Array.length s.local)) (-1);
+  s.winner <- grown s.winner edges;
+  s.loser <- grown s.loser edges;
+  s.adj <- grown s.adj edges;
+  let nodes = min elements (2 * edges) in
+  s.ids <- grown s.ids nodes;
+  s.start <- grown s.start (nodes + 1);
+  s.cursor <- grown s.cursor nodes;
+  s.index <- grown s.index nodes;
+  s.lowlink <- grown s.lowlink nodes;
+  s.comp <- grown s.comp nodes;
+  s.stack <- grown s.stack nodes;
+  s.dfs_v <- grown s.dfs_v nodes;
+  s.dfs_i <- grown s.dfs_i nodes;
+  s.score <- grown s.score nodes
+
+let clear s =
+  s.answered <- 0;
+  s.vote_flips <- 0;
+  s.flipped <- 0;
+  s.unanswered <- []
+
+(* Cycle resolution: re-orient the voted edges inside each strongly
+   connected component of the round's answer graph by the
+   component-local win/loss score, so the result is acyclic (across
+   components the votes already form a DAG). The output is a pure
+   function of the SCC partition and the within-component scores, both
+   canonical properties of the edge set, so neither the node labelling
+   nor the order Tarjan visits roots in is observable.
+
+   Work is O(edges): nodes are the round's distinct elements, labelled
+   densely through [local], which is restored to all -1 on the way out.
+   Tarjan runs iteratively over CSR successor lists with explicit DFS
+   frames ([dfs_v] the node, [dfs_i] its next CSR cursor). A visited
+   node is on Tarjan's stack exactly while it has no component yet, so
+   [comp.(w) < 0] is the on-stack test. *)
+let orient s =
+  let e = s.answered in
+  let winner = s.winner and loser = s.loser and local = s.local in
+  let ids = s.ids and start = s.start and cursor = s.cursor and adj = s.adj in
+  let index = s.index and lowlink = s.lowlink and comp = s.comp in
+  let stack = s.stack and dfs_v = s.dfs_v and dfs_i = s.dfs_i in
+  let score = s.score in
+  let k = ref 0 in
+  for i = 0 to e - 1 do
+    let w = winner.(i) in
+    if local.(w) < 0 then begin
+      local.(w) <- !k;
+      ids.(!k) <- w;
+      incr k
+    end;
+    let l = loser.(i) in
+    if local.(l) < 0 then begin
+      local.(l) <- !k;
+      ids.(!k) <- l;
+      incr k
     end
-  in
-  List.iter (fun v -> if not (Hashtbl.mem index v) then strongconnect v) nodes;
-  comp
-
-(* Cycle resolution shared by both front ends: given one voted
-   (winner, loser) per question, re-orient the edges inside each
-   strongly connected component by the component-local win/loss score so
-   the result is acyclic. Returns the final answers and how many edges
-   were flipped.
-
-   Two interchangeable implementations. The output is a pure function
-   of the SCC *partition* and the within-component scores — both
-   canonical properties of the edge set, independent of traversal or
-   component numbering — so any correct SCC algorithm yields identical
-   answers. [break_cycles_flat] runs Tarjan iteratively over flat
-   arrays indexed by element id (the resolve hot path: ids are dense
-   small naturals); [break_cycles_tbl] is the general hashtable version
-   kept for sparse or negative ids. *)
-let break_cycles_tbl voted =
-  let succ_tbl = Hashtbl.create 64 in
-  List.iter
-    (fun (w, l) ->
-      let cur = Option.value ~default:[] (Hashtbl.find_opt succ_tbl w) in
-      Hashtbl.replace succ_tbl w (l :: cur))
-    voted;
-  (* Visit nodes in sorted order: SCC component numbering then depends
-     only on the voted edge set, never on hash-table iteration order
-     (lint R2). Only component *equality* is consumed downstream, but a
-     deterministic visit order keeps replicated runs bit-identical. *)
-  let nodes =
-    List.sort_uniq Int.compare
-      (List.concat_map (fun (w, l) -> [ w; l ]) voted)
-  in
-  let succ v = Option.value ~default:[] (Hashtbl.find_opt succ_tbl v) in
-  let comp = scc_of ~nodes ~succ in
-  let score = Hashtbl.create 64 in
-  List.iter
-    (fun (w, l) ->
-      if Hashtbl.find comp w = Hashtbl.find comp l then begin
-        Hashtbl.replace score w (1 + Option.value ~default:0 (Hashtbl.find_opt score w));
-        Hashtbl.replace score l (Option.value ~default:0 (Hashtbl.find_opt score l) - 1)
-      end)
-    voted;
-  let flipped = ref 0 in
-  let final =
-    List.map
-      (fun (w, l) ->
-        if Hashtbl.find comp w <> Hashtbl.find comp l then (w, l)
-        else begin
-          let sw = Option.value ~default:0 (Hashtbl.find_opt score w) in
-          let sl = Option.value ~default:0 (Hashtbl.find_opt score l) in
-          (* Lexicographic (score, id): explicit [Int.compare], not a
-             polymorphic [>] on a boxed tuple (lint R1). *)
-          let c = Int.compare sw sl in
-          if c > 0 || (c = 0 && Int.compare w l > 0) then (w, l)
-          else begin
-            incr flipped;
-            (l, w)
-          end
-        end)
-      voted
-  in
-  (final, !flipped)
-
-(* Flat-array path: CSR successor lists plus an iterative Tarjan, no
-   hashing, no per-node allocation. Visits roots in ascending id order
-   like the sorted-node hashtable path; only component equality is
-   consumed downstream, so the differing component numbering is
-   unobservable. *)
-let break_cycles_flat voted ~max_id ~n_edges =
-  let n = max_id + 1 in
-  let ws = Array.make n_edges 0 in
-  let ls = Array.make n_edges 0 in
-  List.iteri
-    (fun i (w, l) ->
-      ws.(i) <- w;
-      ls.(i) <- l)
-    voted;
-  let present = Array.make n false in
-  (* CSR: [start.(v) .. start.(v+1) - 1] indexes v's successors. *)
-  let start = Array.make (n + 1) 0 in
-  for i = 0 to n_edges - 1 do
-    let w = ws.(i) in
-    start.(w + 1) <- start.(w + 1) + 1;
-    present.(w) <- true;
-    present.(ls.(i)) <- true
   done;
-  for v = 1 to n do
+  let k = !k in
+  (* CSR: [start.(v) .. start.(v+1) - 1] indexes v's successors. *)
+  Array.fill start 0 (k + 1) 0;
+  for i = 0 to e - 1 do
+    let v = local.(winner.(i)) + 1 in
+    start.(v) <- start.(v) + 1
+  done;
+  for v = 1 to k do
     start.(v) <- start.(v) + start.(v - 1)
   done;
-  let fill = Array.make n 0 in
-  Array.blit start 0 fill 0 n;
-  let adj = Array.make n_edges 0 in
-  for i = 0 to n_edges - 1 do
-    let w = ws.(i) in
-    adj.(fill.(w)) <- ls.(i);
-    fill.(w) <- fill.(w) + 1
+  Array.blit start 0 cursor 0 k;
+  for i = 0 to e - 1 do
+    let v = local.(winner.(i)) in
+    adj.(cursor.(v)) <- local.(loser.(i));
+    cursor.(v) <- cursor.(v) + 1
   done;
-  let index = Array.make n (-1) in
-  let lowlink = Array.make n 0 in
-  let comp = Array.make n (-1) in
-  let on_stack = Array.make n false in
-  let stack = Array.make n 0 in
+  Array.fill index 0 k (-1);
+  Array.fill comp 0 k (-1);
   let sp = ref 0 in
   let counter = ref 0 in
   let comp_count = ref 0 in
-  (* Explicit DFS frames: [dfs_v] the node, [dfs_i] its next unexplored
-     CSR cursor. Depth is bounded by the number of distinct nodes <= n. *)
-  let dfs_v = Array.make n 0 in
-  let dfs_i = Array.make n 0 in
-  for root = 0 to n - 1 do
-    if present.(root) && index.(root) < 0 then begin
+  for root = 0 to k - 1 do
+    if index.(root) < 0 then begin
       let top = ref 0 in
       dfs_v.(0) <- root;
       dfs_i.(0) <- start.(root);
@@ -174,7 +168,6 @@ let break_cycles_flat voted ~max_id ~n_edges =
       incr counter;
       stack.(!sp) <- root;
       incr sp;
-      on_stack.(root) <- true;
       while !top >= 0 do
         let v = dfs_v.(!top) in
         let i = dfs_i.(!top) in
@@ -187,23 +180,21 @@ let break_cycles_flat voted ~max_id ~n_edges =
             incr counter;
             stack.(!sp) <- w;
             incr sp;
-            on_stack.(w) <- true;
             incr top;
             dfs_v.(!top) <- w;
             dfs_i.(!top) <- start.(w)
           end
-          else if on_stack.(w) && index.(w) < lowlink.(v) then
+          else if comp.(w) < 0 && index.(w) < lowlink.(v) then
             lowlink.(v) <- index.(w)
         end
         else begin
           if lowlink.(v) = index.(v) then begin
-            let continue_ = ref true in
-            while !continue_ do
+            let popping = ref true in
+            while !popping do
               decr sp;
               let w = stack.(!sp) in
-              on_stack.(w) <- false;
               comp.(w) <- !comp_count;
-              if w = v then continue_ := false
+              if w = v then popping := false
             done;
             incr comp_count
           end;
@@ -217,73 +208,62 @@ let break_cycles_flat voted ~max_id ~n_edges =
       done
     end
   done;
-  let score = Array.make n 0 in
-  for i = 0 to n_edges - 1 do
-    let w = ws.(i) and l = ls.(i) in
+  Array.fill score 0 k 0;
+  for i = 0 to e - 1 do
+    let w = local.(winner.(i)) and l = local.(loser.(i)) in
     if comp.(w) = comp.(l) then begin
       score.(w) <- score.(w) + 1;
       score.(l) <- score.(l) - 1
     end
   done;
+  (* Inside a component the final order is lexicographic (score, id). *)
   let flipped = ref 0 in
-  let final =
-    List.map
-      (fun ((w, l) as edge) ->
-        if comp.(w) <> comp.(l) then edge
-        else begin
-          let c = Int.compare score.(w) score.(l) in
-          if c > 0 || (c = 0 && Int.compare w l > 0) then edge
-          else begin
-            incr flipped;
-            (l, w)
-          end
-        end)
-      voted
-  in
-  (final, !flipped)
+  for i = 0 to e - 1 do
+    let w = winner.(i) and l = loser.(i) in
+    let lw = local.(w) and ll = local.(l) in
+    if comp.(lw) = comp.(ll) then begin
+      let c = Int.compare score.(lw) score.(ll) in
+      if not (c > 0 || (c = 0 && Int.compare w l > 0)) then begin
+        winner.(i) <- l;
+        loser.(i) <- w;
+        incr flipped
+      end
+    end
+  done;
+  for v = 0 to k - 1 do
+    local.(ids.(v)) <- -1
+  done;
+  s.flipped <- !flipped
+[@@alloc_free]
 
-let break_cycles voted =
-  match voted with
-  | [] -> ([], 0)
-  | _ ->
-      let min_id = ref max_int in
-      let max_id = ref min_int in
-      let n_edges = ref 0 in
-      List.iter
-        (fun (w, l) ->
-          incr n_edges;
-          if w < !min_id then min_id := w;
-          if l < !min_id then min_id := l;
-          if w > !max_id then max_id := w;
-          if l > !max_id then max_id := l)
-        voted;
-      (* The flat path allocates O(max_id) arrays: take it for the dense
-         nonnegative ids the engine produces, fall back to hashing for
-         negative or very sparse id spaces. The choice is a pure
-         function of the edge set, so replicated runs stay
-         deterministic. *)
-      if !min_id >= 0 && !max_id <= (8 * !n_edges) + 1024 then
-        break_cycles_flat voted ~max_id:!max_id ~n_edges:!n_edges
-      else break_cycles_tbl voted
+let add_edge s w l =
+  let i = s.answered in
+  s.winner.(i) <- w;
+  s.loser.(i) <- l;
+  s.answered <- i + 1
 
-let outcome_of ~truth ~raw_questions ~vote_flips ~unanswered voted =
-  let final, flipped = break_cycles voted in
-  let correct =
+(* Record one voted answer to question [(a, b)]. *)
+let push s ~truth a b winner =
+  if winner <> Ground_truth.better truth a b then
+    s.vote_flips <- s.vote_flips + 1;
+  add_edge s winner (if winner = a then b else a)
+
+let answers s = List.init s.answered (fun i -> (s.winner.(i), s.loser.(i)))
+
+let break_cycles s voted =
+  let elements =
     List.fold_left
-      (fun acc (w, l) -> if Ground_truth.better truth w l = w then acc + 1 else acc)
-      0 final
+      (fun m (w, l) ->
+        if w < 0 || l < 0 then invalid_arg "Rwl.break_cycles: negative id";
+        if w = l then invalid_arg "Rwl.break_cycles: self-comparison";
+        max m (max w l + 1))
+      0 voted
   in
-  let n_answered = List.length final in
-  {
-    answers = final;
-    unanswered;
-    raw_questions;
-    vote_flips;
-    cycle_edges_flipped = flipped;
-    accuracy =
-      (if n_answered = 0 then 1.0
-       else float_of_int correct /. float_of_int n_answered);
-  }
+  clear s;
+  reserve s ~elements ~edges:(List.length voted);
+  List.iter (fun (w, l) -> add_edge s w l) voted;
+  orient s;
+  (answers s, s.flipped)
 
 let check_questions name questions =
   List.iter
@@ -292,10 +272,10 @@ let check_questions name questions =
 
 (* Validate an optional per-question received-vote vector (deadline
    support): when absent, every question got its full [votes]. *)
-let check_received name votes questions = function
+let check_received name votes n_questions = function
   | None -> fun _ -> votes
   | Some received ->
-      if Array.length received <> List.length questions then
+      if Array.length received <> n_questions then
         invalid_arg (name ^ ": votes_received length mismatch");
       Array.iter
         (fun v ->
@@ -309,10 +289,12 @@ let check_received name votes questions = function
    odd full-vote configurations never touch the rng here. *)
 let fair_tie rng a b = if Rng.bool rng then a else b
 
-let resolve ?votes_received rng cfg ~truth questions =
-  if cfg.votes < 1 then invalid_arg "Rwl.resolve: votes < 1";
-  check_questions "Rwl.resolve" questions;
-  let received = check_received "Rwl.resolve" cfg.votes questions votes_received in
+let resolve_into s ?votes_received rng cfg ~truth questions =
+  let name = "Rwl.resolve" in
+  if cfg.votes < 1 then invalid_arg (name ^ ": votes < 1");
+  check_questions name questions;
+  let n_questions = List.length questions in
+  let received = check_received name cfg.votes n_questions votes_received in
   (* One raw vote, specialized by error model: the model is fixed for
      the whole call, so the [Uniform] clamp (and [Perfect]'s no-draw
      short-circuit — [Rng.bernoulli] at p <= 0 never draws) hoists out
@@ -329,34 +311,27 @@ let resolve ?votes_received rng cfg ~truth questions =
     | Worker.Distance_sensitive _ ->
         fun a b -> Worker.answer rng cfg.error truth a b = a
   in
-  (* Repetition + majority vote per question. *)
-  let vote_flips = ref 0 in
-  let unanswered = ref [] in
-  let voted = ref [] in
+  clear s;
+  reserve s ~elements:(Ground_truth.size truth) ~edges:n_questions;
+  (* Repetition + majority vote per question, straight into the edge
+     buffers. *)
   List.iteri
-    (fun qi (a, b) ->
+    (fun qi ((a, b) as question) ->
       let v = received qi in
-      if v = 0 then unanswered := (a, b) :: !unanswered
+      if v = 0 then s.unanswered <- question :: s.unanswered
       else begin
         let wins_a = ref 0 in
         for _ = 1 to v do
           if vote_is_a a b then incr wins_a
         done;
-        let winner =
-          if 2 * !wins_a > v then a
-          else if 2 * !wins_a < v then b
-          else fair_tie rng a b
-        in
-        if winner <> Ground_truth.better truth a b then incr vote_flips;
-        let loser = if winner = a then b else a in
-        voted := (winner, loser) :: !voted
+        push s ~truth a b
+          (if 2 * !wins_a > v then a
+           else if 2 * !wins_a < v then b
+           else fair_tie rng a b)
       end)
     questions;
-  outcome_of ~truth
-    ~raw_questions:(cfg.votes * List.length questions)
-    ~vote_flips:!vote_flips
-    ~unanswered:(List.rev !unanswered)
-    (List.rev !voted)
+  s.unanswered <- List.rev s.unanswered;
+  orient s
 
 (* Keep, per question, only the first [received qi] collected votes —
    under a deadline the earliest-assigned workers are the ones whose
@@ -374,20 +349,15 @@ let truncate_votes received votes =
       else false)
     votes
 
-let resolve_pool ?votes_received rng ~pool ~votes ~truth questions =
-  if votes < 1 then invalid_arg "Rwl.resolve_pool: votes < 1";
-  check_questions "Rwl.resolve_pool" questions;
-  let received = check_received "Rwl.resolve_pool" votes questions votes_received in
+let resolve_pool_into s ?votes_received rng ~pool ~votes ~truth questions =
+  let name = "Rwl.resolve_pool" in
+  if votes < 1 then invalid_arg (name ^ ": votes < 1");
+  check_questions name questions;
+  let n_questions = List.length questions in
+  let received = check_received name votes n_questions votes_received in
+  clear s;
   match questions with
-  | [] ->
-      {
-        answers = [];
-        unanswered = [];
-        raw_questions = 0;
-        vote_flips = 0;
-        cycle_edges_flipped = 0;
-        accuracy = 1.0;
-      }
+  | [] -> ()
   | _ ->
       let question_array = Array.of_list questions in
       let raw_votes =
@@ -400,14 +370,7 @@ let resolve_pool ?votes_received rng ~pool ~votes ~truth questions =
         | Some _ -> truncate_votes received raw_votes
       in
       if List.compare_length_with raw_votes 0 = 0 then
-        {
-          answers = [];
-          unanswered = questions;
-          raw_questions = votes * List.length questions;
-          vote_flips = 0;
-          cycle_edges_flipped = 0;
-          accuracy = 1.0;
-        }
+        s.unanswered <- questions
       else begin
         (* Zero-vote questions stay in the array (they contribute
            nothing to the EM) and are reported unanswered below. *)
@@ -415,30 +378,49 @@ let resolve_pool ?votes_received rng ~pool ~votes ~truth questions =
           Worker_pool.estimate_accuracies ~questions:question_array
             ~workers:(Worker_pool.size pool) raw_votes
         in
-        let vote_flips = ref 0 in
-        let unanswered = ref [] in
-        let voted = ref [] in
+        reserve s ~elements:(Ground_truth.size truth) ~edges:n_questions;
         List.iteri
-          (fun qi (a, b) ->
-            if received qi = 0 then unanswered := (a, b) :: !unanswered
-            else begin
-              let winner =
+          (fun qi ((a, b) as question) ->
+            if received qi = 0 then s.unanswered <- question :: s.unanswered
+            else
+              push s ~truth a b
                 (* The estimator's exactly-zero scores fall back to a
                    deterministic award-to-[a]; re-break them fairly. *)
-                if est.Worker_pool.tied.(qi) then fair_tie rng a b
-                else est.Worker_pool.consensus.(qi)
-              in
-              if winner <> Ground_truth.better truth a b then incr vote_flips;
-              let loser = if winner = a then b else a in
-              voted := (winner, loser) :: !voted
-            end)
+                (if est.Worker_pool.tied.(qi) then fair_tie rng a b
+                 else est.Worker_pool.consensus.(qi)))
           questions;
-        outcome_of ~truth
-          ~raw_questions:(votes * List.length questions)
-          ~vote_flips:!vote_flips
-          ~unanswered:(List.rev !unanswered)
-          (List.rev !voted)
+        s.unanswered <- List.rev s.unanswered;
+        orient s
       end
+
+(* The list form: a fresh scratch, read back as an [outcome]. *)
+let outcome_of s ~truth ~raw_questions =
+  let answers = answers s in
+  let correct =
+    List.fold_left
+      (fun acc (w, l) -> if Ground_truth.better truth w l = w then acc + 1 else acc)
+      0 answers
+  in
+  {
+    answers;
+    unanswered = s.unanswered;
+    raw_questions;
+    vote_flips = s.vote_flips;
+    cycle_edges_flipped = s.flipped;
+    accuracy =
+      (if s.answered = 0 then 1.0
+       else float_of_int correct /. float_of_int s.answered);
+  }
+
+let resolve ?votes_received rng cfg ~truth questions =
+  let s = scratch () in
+  resolve_into s ?votes_received rng cfg ~truth questions;
+  outcome_of s ~truth ~raw_questions:(cfg.votes * List.length questions)
+
+let resolve_pool ?votes_received rng ~pool ~votes ~truth questions =
+  let s = scratch () in
+  resolve_pool_into s ?votes_received rng ~pool ~votes ~truth questions;
+  outcome_of s ~truth ~raw_questions:(votes * List.length questions)
 
 let is_conflict_free ~n answers =
   let dag = Crowdmax_graph.Answer_dag.create n in

@@ -80,6 +80,64 @@ val resolve_pool :
     weighted score) are re-broken with a fair draw instead of the
     estimator's deterministic award to the first element. *)
 
+(** {1 Resolving into a reusable scratch}
+
+    The drivers' path: the same votes, draws and answers as {!resolve} /
+    {!resolve_pool}, but the round is resolved in a caller-owned
+    scratch and read back by index, so a warmed scratch resolves a round
+    without allocating per question. Each driver owns one scratch and
+    reuses it across rounds; a scratch is single-owner mutable state,
+    never shared across domains. *)
+
+type scratch
+
+val scratch : unit -> scratch
+(** An empty scratch; its buffers grow on demand and are never freed. *)
+
+val resolve_into :
+  scratch ->
+  ?votes_received:int array ->
+  Crowdmax_util.Rng.t ->
+  config ->
+  truth:Ground_truth.t ->
+  (int * int) list ->
+  unit
+(** {!resolve}, leaving the round in the scratch: answer [i] (for [i] in
+    [\[0, answered s)], in question order) is [(winner s i, loser s i)].
+    Same draws, acyclicity guarantee and [Invalid_argument] messages as
+    {!resolve}. *)
+
+val resolve_pool_into :
+  scratch ->
+  ?votes_received:int array ->
+  Crowdmax_util.Rng.t ->
+  pool:Worker_pool.t ->
+  votes:int ->
+  truth:Ground_truth.t ->
+  (int * int) list ->
+  unit
+(** {!resolve_pool}, leaving the round in the scratch; raises as
+    {!resolve_pool} does. *)
+
+(** The round most recently resolved into a scratch: *)
+
+val answered : scratch -> int
+(** answers, one per answered question *)
+
+val winner : scratch -> int -> int
+val loser : scratch -> int -> int
+
+val unanswered : scratch -> (int * int) list
+(** zero-vote questions, in input order *)
+
+val break_cycles : scratch -> (int * int) list -> (int * int) list * int
+(** The cycle-breaker alone, through the same core: orient the voted
+    [(winner, loser)] edges (nonnegative element ids) acyclically,
+    re-orienting edges inside each strongly connected component by the
+    component-local win/loss score (ties to the larger id). Returns the
+    final edges in input order and how many were flipped. Raises
+    [Invalid_argument] on a negative id or a self-loop. *)
+
 val is_conflict_free : n:int -> (int * int) list -> bool
 (** [true] iff the [(winner, loser)] pairs over elements [0..n-1] form no
     directed cycle — the contract RWL promises its caller. *)

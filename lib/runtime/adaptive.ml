@@ -6,6 +6,7 @@ module Problem = Crowdmax_core.Problem
 module Tdp = Crowdmax_core.Tdp
 module Ground_truth = Crowdmax_crowd.Ground_truth
 module Platform = Crowdmax_crowd.Platform
+module Rwl = Crowdmax_crowd.Rwl
 
 type refit_policy = Off | Every_k_rounds of int | On_drift of float
 
@@ -123,6 +124,8 @@ let run ?cache ?(source = Engine.Oracle) ?(deadline = Engine.Wait_all)
         | Some _ -> scratch
         | None -> Some (Platform.scratch ()))
   in
+  (* Every round of the run resolves its votes in one RWL scratch. *)
+  let rwl = Rwl.scratch () in
   (* Replans under the problem's own model share the caller's plan
      cache: the first solve (at the full collection) builds the tables,
      the shrinking-c0 replans reuse them (the cache is valid for any c0
@@ -182,7 +185,7 @@ let run ?cache ?(source = Engine.Oracle) ?(deadline = Engine.Wait_all)
   (* The oracle draws nothing from the rng, so the default configuration
      consumes the exact historical draw sequence. *)
   let answer rng q =
-    Query.answer ?scratch ~metrics rng ~source:!current_source ~deadline
+    Query.answer ?scratch ~rwl ~metrics rng ~source:!current_source ~deadline
       ~latency_model:!model q
   in
   (* The refit window must see the platform's honest measurement, not

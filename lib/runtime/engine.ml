@@ -8,6 +8,7 @@ module Tdp = Crowdmax_core.Tdp
 module Selection = Crowdmax_selection.Selection
 module Ground_truth = Crowdmax_crowd.Ground_truth
 module Platform = Crowdmax_crowd.Platform
+module Rwl = Crowdmax_crowd.Rwl
 
 include Query.Types
 
@@ -56,11 +57,12 @@ let round_deadline = Query.round_deadline
 let round_latency_buckets () =
   [| 120.0; 180.0; 240.0; 300.0; 420.0; 600.0; 900.0; 1500.0; 3600.0 |]
 
-(* A reusable runner: policies checked, instruments registered, scratch
-   allocated and the allocation's round budgets unpacked once, shared by
-   every run the closure performs. This is the per-run fast path the
-   replication loops and the bench harness use; a runner must not be
-   shared across domains (the scratch is single-owner mutable state).
+(* A reusable runner: policies checked, instruments registered, platform
+   and RWL scratch allocated and the allocation's round budgets unpacked
+   once, shared by every run the closure performs. This is the per-run
+   fast path the replication loops and the bench harness use; a runner
+   must not be shared across domains (the scratch is single-owner
+   mutable state).
 
    Engine instruments. Every value recorded is a simulated quantity
    (question counts, simulated latencies) except [selector_seconds],
@@ -93,13 +95,14 @@ let runner ?(metrics = Metrics.disabled) cfg =
     | Oracle -> None (* answers never reach the platform *)
     | Simulated _ | Simulated_pool _ -> Some (Platform.scratch ())
   in
+  let rwl = Rwl.scratch () in
   let planner =
     Query.Static (Array.of_list (Allocation.round_budgets cfg.allocation))
   in
   let budget = Allocation.questions_total cfg.allocation in
   let answer rng q =
-    Query.answer ?scratch ~metrics rng ~source:cfg.source ~deadline:cfg.deadline
-      ~latency_model:cfg.latency_model q
+    Query.answer ?scratch ~rwl ~metrics rng ~source:cfg.source
+      ~deadline:cfg.deadline ~latency_model:cfg.latency_model q
   in
   (* A round that posted nothing (padding off, selector out of
      questions) only counts as run. *)

@@ -252,8 +252,6 @@ let settled seconds answered =
     round_deadline_hit = false;
   }
 
-let record q (winner, loser) = Dag.add_answer_unchecked q.dag ~winner ~loser
-
 (* Raw-slot layout: repetition [i] of a round's raw batch belongs to
    posted slot [i mod posted] — repetitions interleave across the
    batch, so early completions spread over all questions instead of
@@ -266,29 +264,32 @@ let count_vote q counts idx =
   if slot < q.distinct then counts.(slot) <- counts.(slot) + 1
 
 (* The RWL step of a simulated source: resolve the round's votes (only
-   the received ones, given [votes_received]) and record the answers.
-   RWL answers are conflict-free by contract, so the per-edge
-   transitive cycle check would be pure overhead. *)
-let resolve ?votes_received rng source q =
-  let outcome =
-    match source with
-    | Simulated { rwl; _ } ->
-        Rwl.resolve ?votes_received rng rwl ~truth:q.truth q.questions
-    | Simulated_pool { pool; votes; _ } ->
-        Rwl.resolve_pool ?votes_received rng ~pool ~votes ~truth:q.truth
-          q.questions
-    | Oracle -> invalid_arg "Query.resolve: the oracle casts no votes"
-  in
-  List.iter (record q) outcome.Rwl.answers;
-  outcome
+   the received ones, given [votes_received]) in the driver's scratch
+   and record the answers by index. RWL answers are conflict-free by
+   contract, so the per-edge transitive cycle check would be pure
+   overhead. *)
+let resolve ?votes_received ~rwl rng source q =
+  (match source with
+  | Simulated { rwl = cfg; _ } ->
+      Rwl.resolve_into rwl ?votes_received rng cfg ~truth:q.truth q.questions
+  | Simulated_pool { pool; votes; _ } ->
+      Rwl.resolve_pool_into rwl ?votes_received rng ~pool ~votes
+        ~truth:q.truth q.questions
+  | Oracle -> invalid_arg "Query.resolve: the oracle casts no votes");
+  let answered = Rwl.answered rwl in
+  for i = 0 to answered - 1 do
+    Dag.add_answer_unchecked q.dag ~winner:(Rwl.winner rwl i)
+      ~loser:(Rwl.loser rwl i)
+  done;
+  answered
 
-let resolve_received rng source q counts (report : Platform.report) =
-  let votes = resolve ~votes_received:counts rng source q in
+let resolve_received ~rwl rng source q counts (report : Platform.report) =
+  let answered = resolve ~votes_received:counts ~rwl rng source q in
   {
     round_seconds = report.Platform.latency;
     observed_seconds = report.Platform.last_completion;
-    answered = List.length votes.Rwl.answers;
-    unanswered = votes.Rwl.unanswered;
+    answered;
+    unanswered = Rwl.unanswered rwl;
     round_deadline_hit = report.Platform.deadline_hit;
   }
 
@@ -297,7 +298,7 @@ let resolve_received rng source q counts (report : Platform.report) =
    bit-identical to the pre-deadline engine. A finite deadline needs the
    platform's completion report before votes can be drawn (only received
    repetitions count), so that path runs platform-first. *)
-let answer ?scratch ?(metrics = Metrics.disabled) rng ~source ~deadline
+let answer ?scratch ~rwl ?(metrics = Metrics.disabled) rng ~source ~deadline
     ~latency_model q =
   match source with
   | Oracle ->
@@ -318,17 +319,17 @@ let answer ?scratch ?(metrics = Metrics.disabled) rng ~source ~deadline
       let raw = votes * q.posted in
       match round_deadline ~deadline ~latency_model ~posted:q.posted with
       | None ->
-          let outcome = resolve rng source q in
+          let answered = resolve ~rwl rng source q in
           settled
             (Platform.batch_latency ~metrics ?scratch platform rng raw)
-            (List.length outcome.Rwl.answers)
+            answered
       | Some deadline ->
           let counts = vote_counts q in
           let report =
             Platform.simulate ~deadline ~metrics ?scratch platform rng raw
               ~on_complete:(fun idx _time -> count_vote q counts idx)
           in
-          resolve_received rng source q counts report)
+          resolve_received ~rwl rng source q counts report)
 
 (* --- absorb --------------------------------------------------------------- *)
 

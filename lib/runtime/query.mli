@@ -199,6 +199,7 @@ type round_outcome = {
 
 val answer :
   ?scratch:Crowdmax_crowd.Platform.scratch ->
+  rwl:Crowdmax_crowd.Rwl.scratch ->
   ?metrics:Crowdmax_obs.Metrics.t ->
   Crowdmax_util.Rng.t ->
   source:answer_source ->
@@ -212,7 +213,9 @@ val answer :
     source under [Wait_all] draws the RWL votes first, then the platform
     batch of [votes * posted] raw questions — the historical order the
     golden aggregates pin; under a finite deadline it runs the platform
-    first and resolves only the votes received by the cutoff. *)
+    first and resolves only the votes received by the cutoff. Votes are
+    resolved in [rwl], the driver's reusable RWL scratch; [scratch] is
+    its platform scratch (a fresh one per call when omitted). *)
 
 val vote_counts : t -> int array
 (** Zeroed per-question vote counters for the selected round. *)
@@ -225,17 +228,18 @@ val count_vote : t -> int array -> int -> unit
     nothing. *)
 
 val resolve_received :
+  rwl:Crowdmax_crowd.Rwl.scratch ->
   Crowdmax_util.Rng.t ->
   answer_source ->
   t ->
   int array ->
   Crowdmax_crowd.Platform.report ->
   round_outcome
-(** [resolve_received rng source q counts report] finishes a round the
-    platform answered first: resolves the votes received ([counts])
-    through the source's RWL, records the answers into the DAG, and
-    prices the round by [report]. Raises [Invalid_argument] for
-    [Oracle], which casts no votes. *)
+(** [resolve_received ~rwl rng source q counts report] finishes a round
+    the platform answered first: resolves the votes received ([counts])
+    through the source's RWL in the scratch [rwl], records the answers
+    into the DAG, and prices the round by [report]. Raises
+    [Invalid_argument] for [Oracle], which casts no votes. *)
 
 val absorb : t -> round_outcome -> unit
 (** Fold an answered round into the state: latency, posted count and

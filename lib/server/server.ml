@@ -127,6 +127,9 @@ let run ?(metrics = Metrics.disabled) ?scratch ?contention
   let scratch =
     match scratch with Some s -> s | None -> Platform.scratch ()
   in
+  (* One RWL scratch for the fleet: every query's rounds resolve in it,
+     one after another. *)
+  let rwl = Rwl.scratch () in
   (* One plan cache for the whole fleet. Under contention the queries'
      effective models differ step to step, so a cache per query never
      hit; cached and fresh solves are bit-identical, so sharing one
@@ -285,7 +288,8 @@ let run ?(metrics = Metrics.disabled) ?scratch ?contention
       Array.iteri
         (fun i st ->
           let outcome =
-            Query.resolve_received rng st.source st.query counts.(i) reports.(i)
+            Query.resolve_received ~rwl rng st.source st.query counts.(i)
+              reports.(i)
           in
           Query.absorb st.query outcome;
           if outcome.Query.round_deadline_hit then begin

@@ -30,6 +30,9 @@ module Problem = Crowdmax_core.Problem
 module Tdp = Crowdmax_core.Tdp
 module Model = Crowdmax_latency.Model
 module Platform = Crowdmax_crowd.Platform
+module Rwl = Crowdmax_crowd.Rwl
+module Worker = Crowdmax_crowd.Worker
+module Ground_truth = Crowdmax_crowd.Ground_truth
 
 let iters = 10_000
 
@@ -199,6 +202,42 @@ let test_platform_simulate_bounded () =
       ("Platform.simulate_shared", fleet_words);
     ]
 
+let test_rwl_scratch_bounded () =
+  (* Questions in groups of five elements, all ten pairs each: at 15%
+     error the votes form cycles inside a group often enough that the
+     orientation kernel re-orients edges. Per call the scratch path pays
+     only constants (the vote closure, its boxed error rate): 25 words
+     on the dev profile at either size. One list cell or tuple per
+     question would show as >= 2k words at k = 1000. *)
+  let scratch = Rwl.scratch () in
+  let cfg = { Rwl.votes = 3; error = Worker.Uniform 0.15 } in
+  let rng = Rng.create 11 in
+  let call_words k =
+    let groups = k / 10 in
+    let truth = Ground_truth.random rng (5 * groups) in
+    let questions =
+      List.concat
+        (List.init groups (fun g ->
+             List.concat
+               (List.init 5 (fun i ->
+                    List.init (4 - i) (fun j ->
+                        ((5 * g) + i, (5 * g) + i + j + 1))))))
+    in
+    assert (List.length questions = k);
+    words_for ~n:1 (fun () ->
+        Rwl.resolve_into scratch rng cfg ~truth questions;
+        assert (Rwl.answered scratch = k))
+  in
+  List.iter
+    (fun k ->
+      let words = call_words k in
+      if words > 128.0 then
+        Alcotest.failf
+          "Rwl.resolve_into, %d questions on a warmed scratch: %.0f minor \
+           words (want <= 128, independent of the question count)"
+          k words)
+    [ 10; 1000 ]
+
 let suite =
   [
     ( "alloc_free",
@@ -216,5 +255,7 @@ let suite =
           test_tdp_cold_solve_bounded;
         Alcotest.test_case "platform simulate bounded" `Quick
           test_platform_simulate_bounded;
+        Alcotest.test_case "rwl scratch resolve bounded" `Quick
+          test_rwl_scratch_bounded;
       ] );
   ]

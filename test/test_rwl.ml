@@ -296,10 +296,202 @@ let test_pool_all_zero_votes () =
     "everything unanswered" qs o.Rwl.unanswered;
   Alcotest.check (Alcotest.float 1e-9) "vacuous accuracy" 1.0 o.Rwl.accuracy
 
+(* --- the scratch core against the hashtable reference --------------------- *)
+
+module Q = QCheck
+
+(* The hashtable-SCC cycle-breaker the scratch core replaced, kept as the
+   reference: Tarjan over hashtables keyed by element id, so any id
+   space works, then the same (score, id) re-orientation inside each
+   component. *)
+let scc_of ~nodes ~succ =
+  let index = Hashtbl.create 64 in
+  let lowlink = Hashtbl.create 64 in
+  let on_stack = Hashtbl.create 64 in
+  let comp = Hashtbl.create 64 in
+  let stack = ref [] in
+  let counter = ref 0 in
+  let comp_count = ref 0 in
+  let rec strongconnect v =
+    Hashtbl.replace index v !counter;
+    Hashtbl.replace lowlink v !counter;
+    incr counter;
+    stack := v :: !stack;
+    Hashtbl.replace on_stack v ();
+    List.iter
+      (fun w ->
+        if not (Hashtbl.mem index w) then begin
+          strongconnect w;
+          let lv = Hashtbl.find lowlink v and lw = Hashtbl.find lowlink w in
+          if lw < lv then Hashtbl.replace lowlink v lw
+        end
+        else if Hashtbl.mem on_stack w then begin
+          let lv = Hashtbl.find lowlink v and iw = Hashtbl.find index w in
+          if iw < lv then Hashtbl.replace lowlink v iw
+        end)
+      (succ v);
+    if Hashtbl.find lowlink v = Hashtbl.find index v then begin
+      let rec popall () =
+        match !stack with
+        | [] -> ()
+        | w :: rest ->
+            stack := rest;
+            Hashtbl.remove on_stack w;
+            Hashtbl.replace comp w !comp_count;
+            if w <> v then popall ()
+      in
+      popall ();
+      incr comp_count
+    end
+  in
+  List.iter (fun v -> if not (Hashtbl.mem index v) then strongconnect v) nodes;
+  comp
+
+let reference_break_cycles voted =
+  let succ_tbl = Hashtbl.create 64 in
+  List.iter
+    (fun (w, l) ->
+      let cur = Option.value ~default:[] (Hashtbl.find_opt succ_tbl w) in
+      Hashtbl.replace succ_tbl w (l :: cur))
+    voted;
+  let nodes =
+    List.sort_uniq Int.compare (List.concat_map (fun (w, l) -> [ w; l ]) voted)
+  in
+  let succ v = Option.value ~default:[] (Hashtbl.find_opt succ_tbl v) in
+  let comp = scc_of ~nodes ~succ in
+  let score = Hashtbl.create 64 in
+  let get v = Option.value ~default:0 (Hashtbl.find_opt score v) in
+  List.iter
+    (fun (w, l) ->
+      if Hashtbl.find comp w = Hashtbl.find comp l then begin
+        Hashtbl.replace score w (get w + 1);
+        Hashtbl.replace score l (get l - 1)
+      end)
+    voted;
+  let flipped = ref 0 in
+  let final =
+    List.map
+      (fun (w, l) ->
+        if Hashtbl.find comp w <> Hashtbl.find comp l then (w, l)
+        else
+          let c = Int.compare (get w) (get l) in
+          if c > 0 || (c = 0 && Int.compare w l > 0) then (w, l)
+          else begin
+            incr flipped;
+            (l, w)
+          end)
+      voted
+  in
+  (final, !flipped)
+
+(* Random voted edge sets over [n] elements, labelled densely (0..n-1)
+   or by sparse high ids (strictly increasing, gaps up to [stride],
+   reaching ~130k with at most 150 edges, so ids far outnumber edges).
+   Parallel and antiparallel duplicates included. *)
+let voted_gen =
+  let open Q.Gen in
+  int_range 2 40 >>= fun n ->
+  bool >>= fun sparse ->
+  (if sparse then
+     int_range 0 50_000 >>= fun base ->
+     int_range 1 2_000 >>= fun stride ->
+     array_repeat n (int_bound (stride - 1)) >|= fun jitter ->
+     Array.mapi (fun i j -> base + (i * stride) + j) jitter
+   else return (Array.init n Fun.id))
+  >>= fun label ->
+  list_size (int_range 0 150)
+    ( int_bound (n - 1) >>= fun i ->
+      int_bound (n - 2) >|= fun j ->
+      (label.(i), label.(if j >= i then j + 1 else j)) )
+
+let voted_arb =
+  Q.make voted_gen
+    ~print:Q.Print.(list (pair int int))
+
+(* One scratch for every case: rounds of different sizes and id ranges
+   follow each other, so stale state from an earlier call would show. *)
+let shared = Rwl.scratch ()
+
+let prop_scratch_matches_reference =
+  Q.Test.make ~count:500
+    ~name:"rwl: scratch cycle-breaker = hashtable reference (answers, order, flips)"
+    voted_arb (fun voted ->
+      let got = Rwl.break_cycles shared voted in
+      let want = reference_break_cycles voted in
+      fst got = fst want && snd got = snd want)
+
+(* The drivers' scratch path against the list form, from the same rng
+   state: same answers in the same order, same unanswered questions,
+   and the two rngs left in lockstep. *)
+let resolve_case_gen =
+  let open Q.Gen in
+  int_range 2 30 >>= fun n ->
+  int_range 1 4 >>= fun votes ->
+  int_bound 1_000_000 >>= fun seed ->
+  bool >>= fun partial ->
+  list_size (int_range 0 80)
+    ( int_bound (n - 1) >>= fun i ->
+      int_bound (n - 2) >|= fun j -> (i, if j >= i then j + 1 else j) )
+  >>= fun questions ->
+  array_repeat (List.length questions) (int_bound votes) >|= fun received ->
+  (n, votes, seed, (if partial then Some received else None), questions)
+
+let prop_resolve_into_matches_resolve =
+  Q.Test.make ~count:300
+    ~name:"rwl: resolve_into on a reused scratch = resolve"
+    (Q.make resolve_case_gen) (fun (n, votes, seed, votes_received, questions) ->
+      let cfg = { Rwl.votes; error = W.Uniform 0.35 } in
+      let truth = G.random (Rng.create seed) n in
+      let rng1 = Rng.create (seed + 1) and rng2 = Rng.create (seed + 1) in
+      let o = Rwl.resolve ?votes_received rng1 cfg ~truth questions in
+      Rwl.resolve_into shared ?votes_received rng2 cfg ~truth questions;
+      let answers =
+        List.init (Rwl.answered shared) (fun i ->
+            (Rwl.winner shared i, Rwl.loser shared i))
+      in
+      answers = o.Rwl.answers
+      && Rwl.unanswered shared = o.Rwl.unanswered
+      && Rng.int rng1 1_000_000 = Rng.int rng2 1_000_000)
+
+let test_scratch_reuse_across_sizes () =
+  (* Large sparse round, then a tiny dense one, then large again, on one
+     scratch: each must match the reference as if run fresh. *)
+  let s = Rwl.scratch () in
+  let rng = Rng.create 43 in
+  let round ~n ~edges ~scale =
+    List.init edges (fun _ ->
+        let i = Rng.int rng n in
+        let j = (i + 1 + Rng.int rng (n - 1)) mod n in
+        (i * scale, j * scale))
+  in
+  List.iter
+    (fun voted ->
+      let got = Rwl.break_cycles s voted in
+      Alcotest.(check (pair (list (pair int int)) int))
+        "matches reference" (reference_break_cycles voted) got)
+    [
+      round ~n:60 ~edges:200 ~scale:997;
+      [ (0, 1); (1, 2); (2, 0) ];
+      [];
+      round ~n:8 ~edges:30 ~scale:1;
+      round ~n:60 ~edges:200 ~scale:997;
+    ]
+
+let test_break_cycles_validation () =
+  let s = Rwl.scratch () in
+  Alcotest.check_raises "negative id"
+    (Invalid_argument "Rwl.break_cycles: negative id") (fun () ->
+      ignore (Rwl.break_cycles s [ (-1, 2) ]));
+  Alcotest.check_raises "self-loop"
+    (Invalid_argument "Rwl.break_cycles: self-comparison") (fun () ->
+      ignore (Rwl.break_cycles s [ (3, 3) ]))
+
 let suite =
   [
     ( "rwl",
       [
+        tc "scratch reuse across sizes" `Quick test_scratch_reuse_across_sizes;
+        tc "break_cycles validation" `Quick test_break_cycles_validation;
         tc "even-vote tie fairness" `Slow test_even_vote_tie_fairness;
         tc "odd votes never consult tie-break rng" `Quick test_odd_votes_never_tie;
         tc "partial votes: zero received is unanswered" `Quick
@@ -324,5 +516,8 @@ let suite =
         tc "self comparison rejected" `Quick test_self_comparison_rejected;
         tc "is_conflict_free" `Quick test_is_conflict_free;
         tc "cycle resolution exercised" `Quick test_cycle_resolution_flips_some_edge;
-      ] );
+      ]
+      @ List.map QCheck_alcotest.to_alcotest
+          [ prop_scratch_matches_reference; prop_resolve_into_matches_resolve ]
+    );
   ]
